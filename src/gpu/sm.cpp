@@ -24,13 +24,27 @@ void Sm::assign_warp(unsigned global_warp_id) {
   LD_ASSERT_MSG(w.tenant < tenant_instructions_.size(), "warp tenant out of range");
   warps_.push_back(std::move(w));
   in_active_.push_back(1);
+  holds_mem_op_.push_back(0);
+  ++active_without_mem_op_;
   active_.push_back(static_cast<unsigned>(warps_.size() - 1));
 }
 
 void Sm::activate(unsigned warp_idx) {
   if (in_active_[warp_idx]) return;
   in_active_[warp_idx] = 1;
+  if (!holds_mem_op_[warp_idx]) ++active_without_mem_op_;
   active_.push_back(warp_idx);
+}
+
+void Sm::set_holds_mem_op(unsigned warp_idx, bool holds) {
+  LD_ASSERT(holds_mem_op_[warp_idx] != holds);
+  holds_mem_op_[warp_idx] = holds;
+  if (!in_active_[warp_idx]) return;
+  if (holds) {
+    --active_without_mem_op_;
+  } else {
+    ++active_without_mem_op_;
+  }
 }
 
 void Sm::on_reply(const icnt::Packet& packet) {
@@ -133,6 +147,7 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
     if (op.kind != WarpOp::Kind::kCompute) {
       coalesce(op, w.lines);
       LD_ASSERT_MSG(!w.lines.empty(), "memory op with no addresses");
+      set_holds_mem_op(warp_idx, true);
     }
   }
 
@@ -162,6 +177,7 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
     ++tenant_instructions_[w.tenant];
     ++w.step;
     w.has_op = false;
+    set_holds_mem_op(warp_idx, false);
   }
   return IssueResult::kIssued;
 }
@@ -198,8 +214,18 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
 
   // Scan active warps; issue for the first that can. Warps that block with a
   // known wake event are removed (swap-remove keeps the scan O(active)).
+  // Every entry before j holds a decoded memory op (kPollBlocked comes only
+  // from the memory path), so once the SM-global block is hit the unflagged
+  // count says whether any entry at or after j could still issue.
   for (std::size_t j = 0; j < active_.size();) {
     const unsigned warp_idx = active_[j];
+    if (mem_blocked) {
+      if (active_without_mem_op_ == 0) return;
+      if (holds_mem_op_[warp_idx]) {
+        ++j;  // Would return kPollBlocked untouched.
+        continue;
+      }
+    }
     const IssueResult result = try_issue(warp_idx, now, req_xbar, mem_blocked);
     if (result == IssueResult::kIssued) {
       const Warp& w = warps_[warp_idx];
@@ -214,10 +240,12 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
     }
     if (result == IssueResult::kSleep) {
       in_active_[warp_idx] = 0;
+      if (!holds_mem_op_[warp_idx]) --active_without_mem_op_;
       active_[j] = active_.back();
       active_.pop_back();
       continue;  // Re-examine the swapped-in entry at j.
     }
+    LD_ASSERT(holds_mem_op_[warp_idx]);
     ++j;  // kPollBlocked: stays active.
   }
 }

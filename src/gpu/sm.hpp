@@ -11,7 +11,13 @@
 // cycle. A warp leaves the active list when it blocks for a reason with a
 // known wake event (compute occupancy -> timer; outstanding loads -> reply/
 // completion) and re-enters on that event. Warps blocked on SM-global
-// resources (crossbar slot, MSHR table) stay active and poll.
+// resources (crossbar slot, MSHR table) stay active, but the scan skips them
+// once one of them has hit the block in this cycle: each active warp carries
+// a "holds a decoded memory op" flag, and after the block only unflagged
+// warps (compute, or not yet decoded) can still issue. A flagged warp is
+// never done or busy (decode happens after the busy check), so polling it
+// would change nothing, and the scan ends as soon as no unflagged warp is
+// left. Issue order and the L1 / stall counters are those of a full scan.
 #pragma once
 
 #include <algorithm>
@@ -94,6 +100,9 @@ class Sm {
                                 bool& mem_blocked);
 
   void activate(unsigned warp_idx);
+  /// Sets the warp's decoded-memory-op flag, keeping active_without_mem_op_
+  /// in step. Call only when the flag changes.
+  void set_holds_mem_op(unsigned warp_idx, bool holds);
 
   const GpuConfig& cfg_;
   SmId id_;
@@ -107,6 +116,10 @@ class Sm {
 
   std::vector<unsigned> active_;    ///< Warp indices eligible for issue scan.
   std::vector<std::uint8_t> in_active_;
+  /// Per warp: 1 while it holds a decoded, not yet fully issued memory op.
+  std::vector<std::uint8_t> holds_mem_op_;
+  /// Entries of active_ whose warp does not hold a decoded memory op.
+  std::size_t active_without_mem_op_ = 0;
   /// (wake cycle, warp): compute-occupancy expirations.
   std::priority_queue<std::pair<Cycle, unsigned>, std::vector<std::pair<Cycle, unsigned>>,
                       std::greater<>>

@@ -1,5 +1,7 @@
 #include "icnt/crossbar.hpp"
 
+#include <bit>
+
 #include "common/assert.hpp"
 
 namespace lazydram::icnt {
@@ -13,7 +15,9 @@ Crossbar::Crossbar(unsigned num_sources, unsigned num_destinations, unsigned lat
       out_capacity_(output_queue_capacity),
       inputs_(num_sources),
       outputs_(num_destinations),
-      rr_(num_destinations, 0) {
+      rr_(num_destinations, 0),
+      mask_words_((num_sources + 63) / 64),
+      head_mask_(static_cast<std::size_t>(num_destinations) * mask_words_, 0) {
   LD_ASSERT(num_sources > 0 && num_destinations > 0 && input_queue_capacity > 0);
   LD_ASSERT(output_queue_capacity > 0);
 }
@@ -27,25 +31,46 @@ void Crossbar::push(unsigned src, unsigned dst, const Packet& packet) {
   LD_ASSERT_MSG(can_push(src), "push into full crossbar input queue");
   LD_ASSERT(dst < num_dst_);
   inputs_[src].push_back(InputEntry{packet, dst});
+  if (inputs_[src].size() == 1) mark_head(src);
   ++queued_;
+}
+
+void Crossbar::mark_head(unsigned src) {
+  const unsigned dst = inputs_[src].front().dst;
+  head_mask_[dst * mask_words_ + src / 64] |= std::uint64_t{1} << (src % 64);
+}
+
+int Crossbar::first_head(unsigned dst, unsigned start) const {
+  const std::uint64_t* mask = &head_mask_[dst * mask_words_];
+  const unsigned first_word = start / 64;
+  // Bits at or after `start` in its word, then the following words, then
+  // (k == mask_words_) the start word again for the bits below `start`.
+  std::uint64_t bits = mask[first_word] & (~std::uint64_t{0} << (start % 64));
+  unsigned w = first_word;
+  for (unsigned k = 0;;) {
+    if (bits != 0) return static_cast<int>(w * 64 + std::countr_zero(bits));
+    if (++k > mask_words_) return -1;
+    if (++w == mask_words_) w = 0;
+    bits = mask[w];
+  }
 }
 
 void Crossbar::tick(Cycle now) {
   if (queued_ == 0) return;
-  // Each destination grants at most one source per cycle, scanning sources
-  // round-robin from its own pointer (iSLIP-style fairness).
+  // Each destination grants at most one source per cycle, taking the first
+  // head addressed to it at or after its own pointer (iSLIP-style fairness).
   for (unsigned dst = 0; dst < num_dst_; ++dst) {
     if (outputs_[dst].size() >= out_capacity_) continue;  // No credit: stall.
-    for (unsigned i = 0; i < num_src_; ++i) {
-      const unsigned src = (rr_[dst] + i) % num_src_;
-      auto& q = inputs_[src];
-      if (q.empty() || q.front().dst != dst) continue;
-      outputs_[dst].push_back(InFlight{q.front().packet, now + latency_});
-      q.pop_front();
-      --queued_;
-      rr_[dst] = (src + 1) % num_src_;
-      break;
-    }
+    const int found = first_head(dst, rr_[dst]);
+    if (found < 0) continue;
+    const unsigned src = static_cast<unsigned>(found);
+    auto& q = inputs_[src];
+    outputs_[dst].push_back(InFlight{q.front().packet, now + latency_});
+    q.pop_front();
+    --queued_;
+    head_mask_[dst * mask_words_ + src / 64] &= ~(std::uint64_t{1} << (src % 64));
+    if (!q.empty()) mark_head(src);  // Visible to later destinations this cycle.
+    rr_[dst] = src + 1 == num_src_ ? 0 : src + 1;
   }
 }
 

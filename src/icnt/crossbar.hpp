@@ -5,6 +5,14 @@
 // input-queued switch), one packet accepted per destination per core cycle
 // with round-robin arbitration across sources, and a fixed traversal latency.
 // The same class serves both directions (SM->MC requests, MC->SM replies).
+//
+// Arbitration costs one head-mask probe per destination plus the grants, not
+// a sources x destinations scan: each destination keeps a bitmask of the
+// sources whose head-of-line packet targets it (64-bit words, any source
+// count), and grants the first set bit at or after its round-robin pointer.
+// Destinations arbitrate in index order, and a granted source's next head
+// joins its destination's mask at once, so a higher-numbered destination can
+// take it in the same cycle.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +87,19 @@ class Crossbar {
   std::size_t capacity_;
   std::size_t out_capacity_;
 
+  /// Marks `src`'s head-of-line packet in its destination's head mask.
+  void mark_head(unsigned src);
+  /// First source at or after `start` (wrapping) whose head targets `dst`,
+  /// or -1 if none does.
+  int first_head(unsigned dst, unsigned start) const;
+
   std::vector<std::deque<InputEntry>> inputs_;   ///< Per source.
   std::vector<std::deque<InFlight>> outputs_;    ///< Per destination.
   std::vector<unsigned> rr_;                     ///< Per destination arbiter state.
+  unsigned mask_words_;                          ///< 64-bit words per head mask.
+  /// Per destination, `mask_words_` words: bit s set iff source s's
+  /// head-of-line packet targets that destination.
+  std::vector<std::uint64_t> head_mask_;
   std::uint64_t delivered_ = 0;
   std::uint64_t queued_ = 0;  ///< Packets waiting in input queues (fast-exit).
 };

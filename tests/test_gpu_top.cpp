@@ -189,6 +189,67 @@ TEST(GpuTop, MetricsIdentities) {
   EXPECT_LE(m.bwutil, 1.0);
 }
 
+/// Core-side counters that the SM issue scan and the crossbars decide. The
+/// benchmark's per-run digests do not cover the L1 or issue-stall counters,
+/// so these pin them directly.
+struct CoreSideCounters {
+  Cycle core_cycles = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t l1_accesses = 0;
+  std::uint64_t l1_hits = 0;
+  std::uint64_t l1_miss_stalls = 0;
+  std::uint64_t reads_received = 0;
+};
+
+CoreSideCounters core_side_counters(const workloads::Workload& wl,
+                                    core::SchemeKind kind) {
+  GpuConfig cfg;
+  gpu::GpuTop top(cfg, wl,
+                  lazy_factory(cfg, core::make_scheme_spec(kind, cfg.scheme)));
+  EXPECT_TRUE(top.run(200'000'000));
+  CoreSideCounters c;
+  c.core_cycles = top.core_cycles();
+  c.instructions = top.instructions();
+  for (SmId s = 0; s < top.num_sms(); ++s) {
+    c.l1_accesses += top.sm(s).l1().accesses();
+    c.l1_hits += top.sm(s).l1().hits();
+    c.l1_miss_stalls += top.sm(s).l1_miss_stalls();
+  }
+  for (ChannelId ch = 0; ch < top.num_channels(); ++ch)
+    c.reads_received += top.controller(ch).reads_received();
+  return c;
+}
+
+void expect_counters(const CoreSideCounters& got, const CoreSideCounters& want) {
+  EXPECT_EQ(got.core_cycles, want.core_cycles);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.l1_accesses, want.l1_accesses);
+  EXPECT_EQ(got.l1_hits, want.l1_hits);
+  EXPECT_EQ(got.l1_miss_stalls, want.l1_miss_stalls);
+  EXPECT_EQ(got.reads_received, want.reads_received);
+}
+
+TEST(GpuTop, CoreSideCountersPinned) {
+  // Recorded with the full issue scan and the full crossbar arbitration scan.
+  // The blocked-warp skip and the head-mask arbiter must be bit-exact, so no
+  // counter may move.
+  MiniWorkload mini;
+  {
+    SCOPED_TRACE("mini Baseline");
+    expect_counters(core_side_counters(mini, core::SchemeKind::kBaseline),
+                    {44'032, 11'520, 292'895, 9, 295'071, 25'487});
+  }
+  {
+    SCOPED_TRACE("mini Dyn-DMS+AMS");
+    expect_counters(core_side_counters(mini, core::SchemeKind::kDynCombo),
+                    {39'936, 11'520, 117'009, 9, 98'866, 25'474});
+  }
+  SCOPED_TRACE("3MM Baseline");
+  const auto mm3 = workloads::make_workload("3MM");
+  expect_counters(core_side_counters(*mm3, core::SchemeKind::kBaseline),
+                  {87'040, 288'000, 2'419'339, 75'972, 1'846'084, 3'693});
+}
+
 TEST(Simulator, EndToEndSchemeOrderingOnScp) {
   // The paper's headline ordering on one real app: combo <= AMS < baseline
   // activations, and AMS must not hurt IPC.
