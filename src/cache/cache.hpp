@@ -55,6 +55,10 @@ class Cache {
   void lines_in_set(std::uint32_t set, std::vector<Addr>& out) const;
 
   // --- Statistics ---
+  /// Counts `n` misses without probing, for a caller replaying accesses it
+  /// knows would miss (an SM accounting the ticks it slept through).
+  void record_misses(std::uint64_t n) { misses_ += n; }
+
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }

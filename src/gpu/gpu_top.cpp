@@ -1,6 +1,7 @@
 #include "gpu/gpu_top.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "check/checker.hpp"
@@ -42,6 +43,9 @@ GpuTop::GpuTop(const GpuConfig& cfg, const workloads::Workload& workload,
   LD_ASSERT_MSG(warps <= cfg.num_sms * cfg.max_warps_per_sm,
                 "workload grid exceeds one wave of resident warps");
   for (unsigned w = 0; w < warps; ++w) sms_[w % cfg.num_sms]->assign_warp(w);
+
+  awake_.assign((cfg.num_sms + 63) / 64, 0);
+  for (SmId s = 0; s < cfg.num_sms; ++s) set_awake(s);
 
   if (telemetry != nullptr) {
     tracer_ = &telemetry->tracer();
@@ -299,6 +303,32 @@ void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
   }
 }
 
+void GpuTop::tick_sms() {
+  if (core_cycle_ >= next_timed_wake_) {
+    // Wake every sleeping SM whose completion or timer is due; it ticks now.
+    next_timed_wake_ = kNeverCycle;
+    for (SmId s = 0; s < sms_.size(); ++s) {
+      Sm& sm = *sms_[s];
+      if (!sm.asleep()) continue;
+      const Cycle due = sm.next_event(core_cycle_);
+      if (due <= core_cycle_) {
+        sm.wake(core_cycle_ - 1);
+        set_awake(s);
+      } else {
+        next_timed_wake_ = std::min(next_timed_wake_, due);
+      }
+    }
+  }
+  for (unsigned w = 0; w < awake_.size(); ++w)
+    for (std::uint64_t bits = awake_[w]; bits != 0; bits &= bits - 1) {
+      Sm& sm = *sms_[w * 64 + std::countr_zero(bits)];
+      sm.tick(core_cycle_, req_xbar_);
+      if (!sm.asleep()) continue;
+      awake_[w] &= ~(bits & -bits);
+      next_timed_wake_ = std::min(next_timed_wake_, sm.next_event(core_cycle_));
+    }
+}
+
 void GpuTop::step() {
   ++core_cycle_;
   const bool mem_ticked = divider_.tick() > 0;
@@ -310,19 +340,27 @@ void GpuTop::step() {
   const bool sample = self_enabled_ && (core_cycle_ & 63) == 0;
   std::chrono::steady_clock::time_point t0, t1, t2, t3;
   if (sample) t0 = std::chrono::steady_clock::now();
-  for (auto& sm : sms_) sm->tick(core_cycle_, req_xbar_);
+  tick_sms();
   if (sample) t1 = std::chrono::steady_clock::now();
   req_xbar_.tick(core_cycle_);
+  // A grant frees a slot in the source SM's request queue.
+  const std::vector<std::uint64_t>& granted = req_xbar_.granted();
+  for (unsigned w = 0; w < awake_.size(); ++w)
+    for (std::uint64_t bits = granted[w] & ~awake_[w]; bits != 0; bits &= bits - 1) {
+      const SmId s = w * 64 + std::countr_zero(bits);
+      sms_[s]->wake(core_cycle_);
+      set_awake(s);
+    }
   for (unsigned ch = 0; ch < partitions_.size(); ++ch)
     partition_tick(partitions_[ch], ch, mem_ticked);
   if (sample) t2 = std::chrono::steady_clock::now();
   reply_xbar_.tick(core_cycle_);
-  for (SmId s = 0; s < sms_.size(); ++s)
-    while (auto pkt = reply_xbar_.pop(s, core_cycle_)) {
-      if (lifecycle_ != nullptr && pkt->parent != 0)
-        lifecycle_->on_warp_wakeup(pkt->parent, core_cycle_);
-      sms_[s]->on_reply(*pkt);
-    }
+  reply_xbar_.drain(core_cycle_, [this](unsigned s, const icnt::Packet& pkt) {
+    if (lifecycle_ != nullptr && pkt.parent != 0)
+      lifecycle_->on_warp_wakeup(pkt.parent, core_cycle_);
+    sms_[s]->on_reply(pkt, core_cycle_);
+    set_awake(s);
+  });
   if (sample) {
     t3 = std::chrono::steady_clock::now();
     ++self_stats_.step_samples;
@@ -476,6 +514,8 @@ bool GpuTop::run(Cycle max_core_cycles) {
     self_stats_.run_wall_seconds +=
         seconds_between(run_start_wall_, std::chrono::steady_clock::now());
   }
+  // Sleeping SMs owe the counter deltas of the ticks they skipped.
+  for (auto& sm : sms_) sm->settle(core_cycle_);
   const bool ok = finished();
   for (Partition& p : partitions_) p.mc->finalize();
   return ok;

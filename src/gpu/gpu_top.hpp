@@ -167,6 +167,10 @@ class GpuTop {
     explicit Partition(const CacheGeometry& geo) : l2(geo) {}
   };
 
+  /// Ticks every awake SM after waking the sleepers whose completion or
+  /// timer is due (see Sm::tick for the sleep rule).
+  void tick_sms();
+  void set_awake(SmId s) { awake_[s / 64] |= std::uint64_t{1} << (s % 64); }
   void partition_tick(Partition& p, unsigned idx, bool mem_ticked);
   void handle_request_packet(Partition& p, unsigned idx, const icnt::Packet& pkt,
                              bool& stalled);
@@ -216,6 +220,11 @@ class GpuTop {
   FunctionalMemory fmem_;
 
   std::vector<std::unique_ptr<Sm>> sms_;
+  /// Bit s set iff SM s is awake (ticked every cycle). A sleeping SM wakes
+  /// on a request-crossbar grant from its queue, a reply, or its own timed
+  /// event; next_timed_wake_ is at or before the earliest such event.
+  std::vector<std::uint64_t> awake_;
+  Cycle next_timed_wake_ = kNeverCycle;
   icnt::Crossbar req_xbar_;
   icnt::Crossbar reply_xbar_;
   std::vector<Partition> partitions_;

@@ -47,7 +47,22 @@ void Sm::set_holds_mem_op(unsigned warp_idx, bool holds) {
   }
 }
 
-void Sm::on_reply(const icnt::Packet& packet) {
+void Sm::wake(Cycle through) {
+  settle(through);
+  asleep_ = false;
+}
+
+void Sm::settle(Cycle through) {
+  if (!asleep_) return;
+  LD_ASSERT(through >= settled_through_);
+  const std::uint64_t slept = through - settled_through_;
+  stall_cycles_ += slept * sleep_stalls_;
+  l1_.record_misses(slept * sleep_misses_);
+  settled_through_ = through;
+}
+
+void Sm::on_reply(const icnt::Packet& packet, Cycle now) {
+  wake(now);
   // Fill the L1 (never dirty: L1 is write-through) and wake every warp that
   // merged into this line's MSHR entry.
   l1_.fill(packet.line_addr, /*dirty=*/false, packet.approximate);
@@ -183,6 +198,11 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
 }
 
 void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
+  LD_ASSERT_MSG(!asleep_, "tick() on a sleeping SM");
+  const std::uint64_t stalls_before = stall_cycles_;
+  const std::uint64_t misses_before = l1_.misses();
+  bool changed = false;
+
   // Retire L1 hits whose latency has elapsed.
   while (!completions_.empty() && completions_.front().first <= now) {
     const unsigned warp_idx = completions_.front().second;
@@ -191,14 +211,32 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
     --w.outstanding;
     activate(warp_idx);
     completions_.pop_front();
+    changed = true;
   }
 
   // Wake compute-occupancy expirations.
   while (!timers_.empty() && timers_.top().first <= now) {
     activate(timers_.top().second);
     timers_.pop();
+    changed = true;
   }
 
+  if (issue(now, req_xbar)) changed = true;
+  if (changed) return;
+
+  // Only the stall and L1 miss counters moved, and every later tick repeats
+  // this one until a completion or timer comes due, the request crossbar
+  // grants from this SM's queue, or a reply lands: sleep until then.
+  asleep_ = true;
+  settled_through_ = now;
+  sleep_stalls_ = stall_cycles_ - stalls_before;
+  sleep_misses_ = l1_.misses() - misses_before;
+  wake_at_ = kNeverCycle;
+  if (!completions_.empty()) wake_at_ = completions_.front().first;
+  if (!timers_.empty()) wake_at_ = std::min(wake_at_, timers_.top().first);
+}
+
+bool Sm::issue(Cycle now, icnt::Crossbar& req_xbar) {
   bool mem_blocked = false;
 
   // A multi-line memory instruction owns the load/store unit until all its
@@ -209,7 +247,9 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
     const unsigned owner = static_cast<unsigned>(lsu_owner_);
     const IssueResult result = try_issue(owner, now, req_xbar, mem_blocked);
     if (result == IssueResult::kIssued && !warps_[owner].has_op) lsu_owner_ = -1;
-    return;  // The LSU owner consumes the issue slot until its op completes.
+    // The LSU owner consumes the issue slot until its op completes. It holds
+    // a decoded memory op, so it never sleeps here.
+    return result != IssueResult::kPollBlocked;
   }
 
   // Scan active warps; issue for the first that can. Warps that block with a
@@ -217,10 +257,11 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
   // Every entry before j holds a decoded memory op (kPollBlocked comes only
   // from the memory path), so once the SM-global block is hit the unflagged
   // count says whether any entry at or after j could still issue.
+  bool removed = false;
   for (std::size_t j = 0; j < active_.size();) {
     const unsigned warp_idx = active_[j];
     if (mem_blocked) {
-      if (active_without_mem_op_ == 0) return;
+      if (active_without_mem_op_ == 0) return removed;
       if (holds_mem_op_[warp_idx]) {
         ++j;  // Would return kPollBlocked untouched.
         continue;
@@ -236,18 +277,20 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
         active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(j));
         active_.push_back(warp_idx);
       }
-      return;
+      return true;
     }
     if (result == IssueResult::kSleep) {
       in_active_[warp_idx] = 0;
       if (!holds_mem_op_[warp_idx]) --active_without_mem_op_;
       active_[j] = active_.back();
       active_.pop_back();
+      removed = true;
       continue;  // Re-examine the swapped-in entry at j.
     }
     LD_ASSERT(holds_mem_op_[warp_idx]);
     ++j;  // kPollBlocked: stays active.
   }
+  return removed;
 }
 
 }  // namespace lazydram::gpu

@@ -18,6 +18,17 @@
 // never done or busy (decode happens after the busy check), so polling it
 // would change nothing, and the scan ends as soon as no unflagged warp is
 // left. Issue order and the L1 / stall counters are those of a full scan.
+//
+// The SM itself sleeps when a tick changes nothing but the stall and L1 miss
+// counters: no completion or timer fired, and nothing issued, decoded,
+// retired or left the active list. That is an idle SM, or one whose LSU
+// owner or blocked warps wait on a full request-crossbar queue or a full (or
+// merge-full) MSHR table. Every later tick would repeat it exactly until one
+// of three events: the earliest completion or timer comes due, the request
+// crossbar grants a packet from this SM's queue, or a reply lands. The
+// caller (GpuTop) stops ticking a sleeping SM until then. On wake, and on
+// settle(), the SM adds slept ticks x that tick's two counter deltas, so
+// every counter equals what per-cycle polling gives.
 #pragma once
 
 #include <algorithm>
@@ -49,32 +60,39 @@ class Sm {
 
   /// One core cycle: retire L1-hit completions, wake timed-out warps, then
   /// issue at most one warp op / memory line. L1 misses are pushed into
-  /// `req_xbar` (port `id()`).
+  /// `req_xbar` (port `id()`). Puts the SM to sleep if nothing but the stall
+  /// and L1 miss counters changed. Precondition: !asleep().
   void tick(Cycle now, icnt::Crossbar& req_xbar);
 
-  /// Delivers a reply packet from the memory side.
-  void on_reply(const icnt::Packet& packet);
+  /// Delivers a reply packet from the memory side at core cycle `now`
+  /// (after this cycle's tick), waking the SM.
+  void on_reply(const icnt::Packet& packet, Cycle now);
+
+  /// True after a tick that changed nothing but the stall and L1 miss
+  /// counters, until wake().
+  bool asleep() const { return asleep_; }
+  /// Ends a sleep whose ticks are skipped through cycle `through`: call it
+  /// when the request crossbar grants from this SM's queue, or when a
+  /// completion or timer comes due (through = that cycle - 1).
+  void wake(Cycle through);
+  /// Adds the counter deltas of the ticks a sleeping SM skipped through
+  /// cycle `through`, staying asleep. Call before reading the counters.
+  void settle(Cycle through);
 
   bool all_done() const { return done_warps_ == warps_.size(); }
   /// Resident warps that have retired, for run-progress reporting (the
   /// heartbeat's warps-done / ETA line).
   unsigned done_warps() const { return static_cast<unsigned>(done_warps_); }
 
-  /// First future cycle at which tick() could change any state, assuming no
-  /// reply arrives in between (replies are external events the caller
-  /// accounts for separately). While any warp is active — or a multi-line
-  /// memory op owns the LSU — the SM polls every cycle. Otherwise the only
-  /// self-wakes are the head L1-hit completion (FIFO: constant latency keeps
-  /// it sorted) and the earliest compute timer. Skipping the gap is bit-exact
-  /// because an idle tick() touches nothing: stall_cycles_ only advances
-  /// inside try_issue, which an empty active list never reaches.
-  Cycle next_event(Cycle now) const {
-    if (lsu_owner_ >= 0 || !active_.empty()) return now + 1;
-    Cycle ev = kNeverCycle;
-    if (!completions_.empty()) ev = std::min(ev, completions_.front().first);
-    if (!timers_.empty()) ev = std::min(ev, timers_.top().first);
-    return ev > now ? ev : now + 1;
-  }
+  /// First future cycle at which tick() could change any state other than
+  /// the slept-tick counters, assuming no reply arrives and the request
+  /// crossbar grants nothing from this SM in between (both are external
+  /// events the caller accounts for). An awake SM polls every cycle. A
+  /// sleeping one wakes at its head L1-hit completion (FIFO: constant
+  /// latency keeps it sorted) or its earliest compute timer, whichever is
+  /// first (kNeverCycle if neither). Skipping the gap is bit-exact because
+  /// the skipped ticks are replayed into the counters on wake or settle().
+  Cycle next_event(Cycle now) const { return asleep_ ? wake_at_ : now + 1; }
 
   SmId id() const { return id_; }
   std::uint64_t instructions() const { return instructions_; }
@@ -94,6 +112,9 @@ class Sm {
     kSleep,        ///< Blocked with a known wake event; deactivate.
   };
 
+  /// The issue half of tick(). Returns true iff it issued or took a warp
+  /// off the active list.
+  bool issue(Cycle now, icnt::Crossbar& req_xbar);
   IssueResult try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_xbar,
                         bool& mem_blocked);
   IssueResult issue_memory_line(unsigned warp_idx, Cycle now, icnt::Crossbar& req_xbar,
@@ -131,6 +152,15 @@ class Sm {
   /// Warp index currently owning the load/store unit mid-instruction
   /// (issues its remaining transactions with strict priority); -1 if none.
   int lsu_owner_ = -1;
+
+  // Sleep state (see tick()). While asleep, the counters are exact through
+  // settled_through_, and each skipped tick adds sleep_stalls_ stall cycles
+  // and sleep_misses_ L1 misses.
+  bool asleep_ = false;
+  Cycle settled_through_ = 0;
+  Cycle wake_at_ = kNeverCycle;  ///< Earliest completion or timer while asleep.
+  std::uint64_t sleep_stalls_ = 0;
+  std::uint64_t sleep_misses_ = 0;
 
   std::uint64_t instructions_ = 0;
   std::uint64_t stall_cycles_ = 0;

@@ -13,8 +13,17 @@
 // Destinations arbitrate in index order, and a granted source's next head
 // joins its destination's mask at once, so a higher-numbered destination can
 // take it in the same cycle.
+//
+// Every per-cycle loop visits only destinations with work. An
+// active-destination mask (bit d set iff some head-of-line packet targets d)
+// drives tick(), re-read after each grant so a head that a grant exposes for
+// a later destination is still arbitrated this cycle. An output-occupancy
+// mask (bit d set iff d's landing buffer holds a packet) drives drain(), and
+// packet counts answer idle() in O(1). tick() also records which sources it
+// granted, so a blocked sender can sleep until its input queue moves.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -63,11 +72,23 @@ class Crossbar {
   /// poppable `latency` cycles later.
   void tick(Cycle now);
 
+  /// Sources granted by the last tick(): bit s of word s / 64 is set iff a
+  /// packet left source s's input queue.
+  const std::vector<std::uint64_t>& granted() const { return granted_; }
+
   /// Next packet that has arrived at `dst` by `now`, if any.
   std::optional<Packet> pop(unsigned dst, Cycle now);
 
+  /// Pops every packet that has arrived by `now` and passes it to
+  /// `deliver(dst, packet)`: destinations in ascending order, each one's
+  /// packets in arrival order, which is the sequence pop() on every
+  /// destination yields. Visits only destinations holding a packet.
+  /// `deliver` must not call back into the switch.
+  template <class Deliver>
+  void drain(Cycle now, Deliver&& deliver);
+
   /// True when no packet is anywhere in the switch.
-  bool idle() const;
+  bool idle() const { return queued_ == 0 && landed_ == 0; }
 
   std::uint64_t delivered() const { return delivered_; }
 
@@ -92,6 +113,17 @@ class Crossbar {
   /// First source at or after `start` (wrapping) whose head targets `dst`,
   /// or -1 if none does.
   int first_head(unsigned dst, unsigned start) const;
+  /// Grants `dst` its round-robin head if it has output credit.
+  void arbitrate(unsigned dst, Cycle now);
+  /// Removes the front of `dst`'s landing buffer.
+  void pop_front_output(unsigned dst);
+
+  static void set_bit(std::vector<std::uint64_t>& mask, unsigned i) {
+    mask[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  static void clear_bit(std::vector<std::uint64_t>& mask, unsigned i) {
+    mask[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
 
   std::vector<std::deque<InputEntry>> inputs_;   ///< Per source.
   std::vector<std::deque<InFlight>> outputs_;    ///< Per destination.
@@ -100,8 +132,29 @@ class Crossbar {
   /// Per destination, `mask_words_` words: bit s set iff source s's
   /// head-of-line packet targets that destination.
   std::vector<std::uint64_t> head_mask_;
+  /// Bit d set iff destination d's head mask is non-empty.
+  std::vector<std::uint64_t> active_dst_;
+  /// Bit d set iff outputs_[d] is non-empty.
+  std::vector<std::uint64_t> occupied_dst_;
+  std::vector<std::uint64_t> granted_;  ///< See granted().
   std::uint64_t delivered_ = 0;
-  std::uint64_t queued_ = 0;  ///< Packets waiting in input queues (fast-exit).
+  std::uint64_t queued_ = 0;  ///< Packets waiting in input queues.
+  std::uint64_t landed_ = 0;  ///< Packets in output landing buffers.
 };
+
+template <class Deliver>
+void Crossbar::drain(Cycle now, Deliver&& deliver) {
+  for (unsigned w = 0; w < occupied_dst_.size(); ++w) {
+    for (std::uint64_t bits = occupied_dst_[w]; bits != 0; bits &= bits - 1) {
+      const unsigned dst = w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+      auto& q = outputs_[dst];
+      while (!q.empty() && q.front().ready <= now) {
+        const Packet p = q.front().packet;
+        pop_front_output(dst);
+        deliver(dst, p);
+      }
+    }
+  }
+}
 
 }  // namespace lazydram::icnt

@@ -189,9 +189,9 @@ TEST(GpuTop, MetricsIdentities) {
   EXPECT_LE(m.bwutil, 1.0);
 }
 
-/// Core-side counters that the SM issue scan and the crossbars decide. The
-/// benchmark's per-run digests do not cover the L1 or issue-stall counters,
-/// so these pin them directly.
+/// Core-side counters that the SM issue scan, the SM sleep replay and the
+/// crossbars decide. The benchmark's per-run digests do not cover the L1 or
+/// issue-stall counters, so these pin them directly.
 struct CoreSideCounters {
   Cycle core_cycles = 0;
   std::uint64_t instructions = 0;
@@ -201,12 +201,7 @@ struct CoreSideCounters {
   std::uint64_t reads_received = 0;
 };
 
-CoreSideCounters core_side_counters(const workloads::Workload& wl,
-                                    core::SchemeKind kind) {
-  GpuConfig cfg;
-  gpu::GpuTop top(cfg, wl,
-                  lazy_factory(cfg, core::make_scheme_spec(kind, cfg.scheme)));
-  EXPECT_TRUE(top.run(200'000'000));
+CoreSideCounters read_counters(const gpu::GpuTop& top) {
   CoreSideCounters c;
   c.core_cycles = top.core_cycles();
   c.instructions = top.instructions();
@@ -220,6 +215,13 @@ CoreSideCounters core_side_counters(const workloads::Workload& wl,
   return c;
 }
 
+CoreSideCounters core_side_counters(const workloads::Workload& wl, core::SchemeKind kind,
+                                    const GpuConfig& cfg = GpuConfig{}) {
+  gpu::GpuTop top(cfg, wl, lazy_factory(cfg, core::make_scheme_spec(kind, cfg.scheme)));
+  EXPECT_TRUE(top.run(200'000'000));
+  return read_counters(top);
+}
+
 void expect_counters(const CoreSideCounters& got, const CoreSideCounters& want) {
   EXPECT_EQ(got.core_cycles, want.core_cycles);
   EXPECT_EQ(got.instructions, want.instructions);
@@ -230,9 +232,9 @@ void expect_counters(const CoreSideCounters& got, const CoreSideCounters& want) 
 }
 
 TEST(GpuTop, CoreSideCountersPinned) {
-  // Recorded with the full issue scan and the full crossbar arbitration scan.
-  // The blocked-warp skip and the head-mask arbiter must be bit-exact, so no
-  // counter may move.
+  // Recorded with the full issue scan, the full crossbar arbitration scan
+  // and every SM ticked every cycle. The blocked-warp skip, the head-mask
+  // arbiter and SM sleep are bit-exact, so no counter may move.
   MiniWorkload mini;
   {
     SCOPED_TRACE("mini Baseline");
@@ -244,10 +246,60 @@ TEST(GpuTop, CoreSideCountersPinned) {
     expect_counters(core_side_counters(mini, core::SchemeKind::kDynCombo),
                     {39'936, 11'520, 117'009, 9, 98'866, 25'474});
   }
-  SCOPED_TRACE("3MM Baseline");
+  {
+    SCOPED_TRACE("3MM Baseline");
+    const auto mm3 = workloads::make_workload("3MM");
+    expect_counters(core_side_counters(*mm3, core::SchemeKind::kBaseline),
+                    {87'040, 288'000, 2'419'339, 75'972, 1'846'084, 3'693});
+  }
+  {
+    // Stores blocked at a full request-crossbar queue sleep without an L1
+    // probe: only the stall counter replays, and grants wake them.
+    SCOPED_TRACE("SLA Baseline");
+    const auto sla = workloads::make_workload("SLA");
+    expect_counters(core_side_counters(*sla, core::SchemeKind::kBaseline),
+                    {208'896, 23'040, 3'236'699, 52, 6'011'516, 81'973});
+  }
+  {
+    // A full MSHR table: the blocked SM's queue is often empty, so only a
+    // reply (or a timer) wakes it, and each slept tick replays an L1 miss.
+    SCOPED_TRACE("3MM Baseline, 4 MSHRs");
+    GpuConfig cfg;
+    cfg.l1.mshr_entries = 4;
+    const auto mm3 = workloads::make_workload("3MM");
+    expect_counters(core_side_counters(*mm3, core::SchemeKind::kBaseline, cfg),
+                    {241'664, 288'000, 6'892'015, 144'756, 6'313'615, 3'427});
+  }
+  {
+    // The event wheel fast-forwards the core clock while every SM sleeps on
+    // its MSHR table; the skipped cycles replay on wake.
+    SCOPED_TRACE("SCP Baseline, 8 MSHRs, wheel");
+    GpuConfig cfg;
+    cfg.l1.mshr_entries = 8;
+    cfg.shard_threads = 1;
+    const auto scp = workloads::make_workload("SCP");
+    expect_counters(core_side_counters(*scp, core::SchemeKind::kBaseline, cfg),
+                    {142'336, 26'400, 4'066'787, 60, 3'935'987, 128'388});
+  }
+}
+
+TEST(GpuTop, CappedRunCountsSleepingSms) {
+  // A run cut by its cycle cap returns with SMs still asleep. Their skipped
+  // ticks must be in the counters when run() returns, not only on a wake
+  // that never comes.
   const auto mm3 = workloads::make_workload("3MM");
-  expect_counters(core_side_counters(*mm3, core::SchemeKind::kBaseline),
-                  {87'040, 288'000, 2'419'339, 75'972, 1'846'084, 3'693});
+  GpuConfig cfg;
+  gpu::GpuTop top(cfg, *mm3,
+                  lazy_factory(cfg, core::make_scheme_spec(core::SchemeKind::kBaseline,
+                                                           cfg.scheme)));
+  EXPECT_FALSE(top.run(5000));
+  const CoreSideCounters c = read_counters(top);
+  EXPECT_EQ(c.core_cycles, 5000u);
+  EXPECT_EQ(c.instructions, 17'022u);
+  EXPECT_EQ(c.l1_accesses, 147'454u);
+  EXPECT_EQ(c.l1_hits, 5'240u);
+  EXPECT_EQ(c.l1_miss_stalls, 111'831u);
+  EXPECT_EQ(c.reads_received, 2'506u);
 }
 
 TEST(Simulator, EndToEndSchemeOrderingOnScp) {

@@ -1,7 +1,8 @@
 // Crossbar tests: delivery with latency, per-destination serialization,
 // round-robin fairness, input capacity, credit-based output backpressure,
-// same-cycle re-grant of a source's next head, and a seeded differential run
-// against a naive O(sources x destinations) reference arbiter.
+// same-cycle re-grant of a source's next head, the granted-source report, and
+// a seeded differential run against a naive O(sources x destinations)
+// reference arbiter that also checks the occupancy-driven drain.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -172,10 +173,16 @@ class ReferenceCrossbar {
 TEST(Crossbar, MatchesReferenceArbiterOnRandomTraffic) {
   std::mt19937_64 rng(0x1CE5EED);
   const auto below = [&rng](unsigned n) { return static_cast<unsigned>(rng() % n); };
-  for (unsigned trial = 0; trial < 60; ++trial) {
-    // Every third trial spans several 64-bit mask words.
-    const unsigned num_src = trial % 3 == 0 ? 65 + below(100) : 1 + below(64);
-    const unsigned num_dst = 1 + below(trial % 2 == 0 ? 8 : 40);
+  for (unsigned trial = 0; trial < 90; ++trial) {
+    // Every third trial spans several 64-bit source-mask words, every fifth
+    // several active-destination and occupancy words, and every seventh is
+    // the reply crossbar's shape (6 partitions -> 30 SMs).
+    unsigned num_src = trial % 3 == 0 ? 65 + below(100) : 1 + below(64);
+    unsigned num_dst = trial % 5 == 0 ? 65 + below(100) : 1 + below(trial % 2 == 0 ? 8 : 40);
+    if (trial % 7 == 0) {
+      num_src = 6;
+      num_dst = 30;
+    }
     const unsigned latency = below(6);
     const std::size_t in_cap = 1 + below(8);
     const std::size_t out_cap = 1 + below(8);
@@ -208,24 +215,50 @@ TEST(Crossbar, MatchesReferenceArbiterOnRandomTraffic) {
       ref.tick(now);
       compare_state("tick");
       if (HasFatalFailure()) return;
-      for (unsigned d = 0; d < num_dst; ++d) {
-        if (below(4) == 0) continue;  // Leave some outputs undrained.
-        for (;;) {
-          const auto got = xbar.pop(d, now);
-          const auto want = ref.pop(d, now);
-          ASSERT_EQ(got.has_value(), want.has_value())
-              << "trial " << trial << " dst " << d << " cycle " << now;
-          if (!got) break;
-          ASSERT_EQ(got->id, want->id) << "trial " << trial << " dst " << d;
-          ++popped;
-        }
-        compare_state("pop");
+      if (below(2) == 0) {
+        // Occupancy-driven drain vs pop() on every destination in order.
+        std::vector<std::pair<unsigned, RequestId>> got, want;
+        xbar.drain(now, [&got](unsigned d, const Packet& p) { got.emplace_back(d, p.id); });
+        for (unsigned d = 0; d < num_dst; ++d)
+          while (const auto p = ref.pop(d, now)) want.emplace_back(d, p->id);
+        ASSERT_EQ(got, want) << "trial " << trial << " cycle " << now;
+        popped += got.size();
+        compare_state("drain");
         if (HasFatalFailure()) return;
+      } else {
+        for (unsigned d = 0; d < num_dst; ++d) {
+          if (below(4) == 0) continue;  // Leave some outputs undrained.
+          for (;;) {
+            const auto got = xbar.pop(d, now);
+            const auto want = ref.pop(d, now);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "trial " << trial << " dst " << d << " cycle " << now;
+            if (!got) break;
+            ASSERT_EQ(got->id, want->id) << "trial " << trial << " dst " << d;
+            ++popped;
+          }
+          compare_state("pop");
+          if (HasFatalFailure()) return;
+        }
       }
       now += below(8) == 0 ? 1 + below(10) : 1;
     }
     EXPECT_EQ(xbar.delivered(), popped);
   }
+}
+
+TEST(Crossbar, GrantedReportsSourcesOfLastTick) {
+  Crossbar xbar(70, 2, 0, 4);
+  xbar.push(3, 0, pkt(1));
+  xbar.push(67, 1, pkt(2));
+  xbar.push(67, 1, pkt(3));
+  xbar.tick(0);
+  EXPECT_EQ(xbar.granted(), (std::vector<std::uint64_t>{std::uint64_t{1} << 3,
+                                                        std::uint64_t{1} << 3}));
+  xbar.tick(1);
+  EXPECT_EQ(xbar.granted(), (std::vector<std::uint64_t>{0, std::uint64_t{1} << 3}));
+  xbar.tick(2);
+  EXPECT_EQ(xbar.granted(), (std::vector<std::uint64_t>{0, 0}));
 }
 
 TEST(Crossbar, DeliveredCounter) {
