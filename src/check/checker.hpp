@@ -116,20 +116,6 @@ class ProtocolChecker {
   /// Once per memory cycle: age/starvation scan (oldest request only).
   void on_tick(const PendingQueue& queue, Cycle now);
 
-  /// First future cycle at which on_tick could do anything, assuming the
-  /// queue does not change in between (enqueue/serve/drop are real events
-  /// that end any skip anyway): the cycle the oldest request crosses the
-  /// starvation bound, kNeverCycle if the queue is empty or the oldest has
-  /// already been reported. Lets the event-wheel skip idle spans without
-  /// suppressing a starvation report.
-  Cycle next_tick_event(const PendingQueue& queue, Cycle now) const {
-    const MemRequest* oldest = queue.oldest();
-    if (oldest == nullptr) return kNeverCycle;
-    if (have_starved_ && last_starved_ == oldest->id) return kNeverCycle;
-    const Cycle fire = oldest->enqueue_cycle + opts_.starvation_bound + 1;
-    return fire > now ? fire : now + 1;
-  }
-
   // --- Results ---
   std::uint64_t commands_checked() const { return commands_checked_; }
   std::uint64_t violation_count() const { return violation_count_; }

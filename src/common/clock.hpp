@@ -36,29 +36,6 @@ class ClockDivider {
 
   Cycle slow_cycles() const { return slow_cycles_; }
 
-  /// Advances `fast_cycles` fast-domain cycles at once. Equivalent to calling
-  /// tick() that many times (exact integer arithmetic, so the accumulator and
-  /// slow_cycles land on identical values); the intermediate per-cycle tick
-  /// counts are not reported — callers bulk-advancing must know no slow-domain
-  /// work was skipped (the event-wheel main loop's contract).
-  void advance(Cycle fast_cycles) {
-    acc_ += fast_cycles * numer_;
-    slow_cycles_ += acc_ / denom_;
-    acc_ %= denom_;
-  }
-
-  /// Smallest k >= 1 such that advancing k fast cycles makes slow_cycles()
-  /// reach `slow_target` (>= current slow_cycles() + 1): the fast-domain
-  /// cycle on which slow tick `slow_target` fires. Used to translate
-  /// memory-domain event horizons into core-domain skip lengths.
-  Cycle fast_cycles_until(Cycle slow_target) const {
-    LD_ASSERT(slow_target > slow_cycles_);
-    const std::uint64_t d = slow_target - slow_cycles_;
-    // Need acc_ + k*numer_ >= d*denom_, i.e. k = ceil((d*denom_ - acc_)/numer_).
-    const std::uint64_t need = d * denom_ - acc_;
-    return (need + numer_ - 1) / numer_;
-  }
-
   void reset() {
     acc_ = 0;
     slow_cycles_ = 0;

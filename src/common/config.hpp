@@ -206,16 +206,9 @@ struct GpuConfig {
   /// (or =0) disables it for A/B comparison.
   bool fast_path = true;
 
-  /// Sharded execution of GpuTop's run loop. 0 (default) keeps the legacy
-  /// cycle-by-cycle loop; 1 switches to the event-wheel driver (fast-forward
-  /// over quiet spans between deterministic synchronization points) on the
-  /// calling thread; N > 1 additionally partitions the memory controllers
-  /// into N worker lanes that advance independently inside each epoch, with
-  /// telemetry buffered per lane and replayed in (cycle, channel) order at
-  /// the barrier. Results and trace output are bit-identical for every
-  /// value (proven by the Sharding.* lockstep tests and tools/diffcheck);
-  /// LAZYDRAM_SHARD=N selects it for full-simulation runs.
-  unsigned shard_threads = 0;
+  /// GpuTop's run loop is single-threaded. Not an option: the constant
+  /// exists only because run reports echo it.
+  static constexpr unsigned shard_threads = 0;
 
   /// Enables the per-bank state-residency power accountant (src/dram/power).
   /// Strictly passive — results are bit-identical either way (proven by
@@ -225,18 +218,18 @@ struct GpuConfig {
   bool power_accounting = true;
 
   /// Arms the wall-clock self-profiler (telemetry/selfprof) for this run:
-  /// zone trees, per-lane busy/barrier-stall attribution, and the
-  /// self_profile block in the JSON run report. Strictly passive — results
-  /// and trace output are byte-identical either way (proven by
+  /// zone trees, the sampled step split, and the self_profile block in the
+  /// JSON run report. Strictly passive — results and trace output are
+  /// byte-identical either way (proven by
   /// FlightRecorder.OnIsBitIdentical); the overhead is gated at 5% by
   /// bench_micro --perf. LAZYDRAM_SELFPROF=1 (or --self-profile on the
   /// figure benches) enables it for full-simulation runs.
   bool self_profile = false;
 
   /// Emits a run-health status line to stderr every this-many wall-clock
-  /// seconds (sim cycles, Mcyc/s, warps done, ETA, queue depths, lane
-  /// utilization). 0 disables. LAZYDRAM_HEARTBEAT=seconds (or --heartbeat)
-  /// selects it for full-simulation runs.
+  /// seconds (sim cycles, Mcyc/s, warps done, ETA, queue depths). 0
+  /// disables. LAZYDRAM_HEARTBEAT=seconds (or --heartbeat) selects it for
+  /// full-simulation runs.
   double heartbeat_seconds = 0.0;
 
   std::uint64_t seed = 0x1aE5D8A3u;

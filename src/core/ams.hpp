@@ -90,14 +90,6 @@ class AmsUnit {
   unsigned th_rbl() const { return th_rbl_; }
   bool halted() const { return halted_; }
 
-  /// First cycle at which tick() can have an effect beyond latching `halted`
-  /// (which callers skipping ticks must prove constant): the next adaptation
-  /// boundary, or kNeverCycle for the static unit. Unlike the DMS grid, a
-  /// Dyn-AMS boundary always mutates state (window_start_ resets to the
-  /// observation cycle even for an empty window), so it must be a real tick.
-  Cycle next_boundary() const {
-    return dynamic_ ? window_start_ + params_.profile_window : kNeverCycle;
-  }
   std::uint64_t reads_received() const { return reads_received_; }
   std::uint64_t reads_dropped() const { return reads_dropped_; }
 

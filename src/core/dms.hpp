@@ -56,14 +56,6 @@ class DmsUnit {
   double last_window_bwutil() const { return last_window_bwutil_; }
   Cycle window_start() const { return window_start_; }
 
-  /// First cycle at which tick() can have an effect: the next profile-window
-  /// boundary (grid-aligned), or kNeverCycle for the static unit whose tick
-  /// is a no-op. Idle ticks strictly before this are provably no-ops, which
-  /// is what lets the event-wheel main loop skip them wholesale.
-  Cycle next_boundary() const {
-    return dynamic_ ? window_start_ + params_.profile_window : kNeverCycle;
-  }
-
   /// Emits kDmsDelayChange events through `tracer` (nullable to detach).
   void set_telemetry(telemetry::Tracer* tracer, ChannelId channel) {
     tracer_ = tracer;

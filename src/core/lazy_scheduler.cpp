@@ -95,31 +95,6 @@ void LazyScheduler::tick(Cycle now, std::uint64_t bus_busy_total) {
   th_rbl_sum_ += static_cast<double>(spec_.ams_enabled ? ams_.th_rbl() : 0);
 }
 
-Cycle LazyScheduler::next_tick_event(Cycle now) const {
-  // The per-tick accumulators (ticks_, delay_sum_, th_rbl_sum_, trace_now_)
-  // are reconstructed exactly by advance_idle, so the only events that force
-  // a real tick are the units' adaptation boundaries. The AMS halt latch is
-  // safe to skip between boundaries: `halted` is derived from dms_.sampling(),
-  // which only changes at a DMS boundary — itself an event returned here.
-  Cycle ev = kNeverCycle;
-  if (spec_.dms_enabled) ev = std::min(ev, dms_.next_boundary());
-  if (spec_.ams_enabled) ev = std::min(ev, ams_.next_boundary());
-  return ev > now ? ev : now + 1;
-}
-
-void LazyScheduler::advance_idle(Cycle from, Cycle to) {
-  // Bit-exact replay of (to - from) idle ticks: the delay and Th_RBL are
-  // constant across the span (no unit boundary inside it, by contract), and
-  // the sums stay integer-valued doubles, so bulk addition is exact.
-  const std::uint64_t n = to - from;
-  ticks_ += n;
-  delay_sum_ += static_cast<double>(spec_.dms_enabled ? dms_.current_delay() : 0) *
-                static_cast<double>(n);
-  th_rbl_sum_ += static_cast<double>(spec_.ams_enabled ? ams_.th_rbl() : 0) *
-                 static_cast<double>(n);
-  trace_now_ = to;
-}
-
 bool LazyScheduler::may_drop() const {
   if (!spec_.ams_enabled) return false;
   return draining_count_ > 0 || ams_.may_drop();

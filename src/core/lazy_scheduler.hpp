@@ -38,8 +38,6 @@ class LazyScheduler : public Scheduler {
 
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
   void tick(Cycle now, std::uint64_t bus_busy_total) override;
-  Cycle next_tick_event(Cycle now) const override;
-  void advance_idle(Cycle from, Cycle to) override;
   bool may_drop() const override;
   bool drops_possible() const override { return spec_.ams_enabled; }
   bool bank_draining(BankId bank) const override { return draining_[bank] != kInvalidRow; }

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "check/checker.hpp"
 #include "check/context.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/selfprof.hpp"
 
 namespace lazydram::gpu {
@@ -493,21 +491,15 @@ bool GpuTop::run(Cycle max_core_cycles) {
                               std::chrono::duration<double>(cfg_.heartbeat_seconds));
   }
   {
-    telemetry::SelfZone zone(cfg_.shard_threads == 0 ? "gpu.run_legacy"
-                                                     : "gpu.run_wheel");
-    if (cfg_.shard_threads == 0) {
-      while (core_cycle_ < max_core_cycles) {
-        step();
-        // finished() scans every structure; polling every cycle would dominate
-        // runtime, and no workload finishes in under 1k cycles.
-        if ((core_cycle_ & 1023) == 0) {
-          if (finished()) break;
-          if (heartbeat) maybe_heartbeat();
-        }
+    telemetry::SelfZone zone("gpu.run");
+    while (core_cycle_ < max_core_cycles) {
+      step();
+      // finished() scans every structure; polling every cycle would dominate
+      // runtime, and no workload finishes in under 1k cycles.
+      if ((core_cycle_ & 1023) == 0) {
+        if (finished()) break;
+        if (heartbeat) maybe_heartbeat();
       }
-    } else {
-      init_sharding();
-      run_wheel(max_core_cycles);
     }
   }
   if (self_enabled_) {
@@ -519,22 +511,6 @@ bool GpuTop::run(Cycle max_core_cycles) {
   const bool ok = finished();
   for (Partition& p : partitions_) p.mc->finalize();
   return ok;
-}
-
-GpuTop::WheelSelfStats GpuTop::self_stats() const {
-  WheelSelfStats s = self_stats_;
-  s.lanes = lanes_;
-  s.serial_seconds =
-      std::max(0.0, s.run_wall_seconds - s.mem_serial_seconds -
-                        s.mem_parallel_wall_seconds);
-  if (pool_ != nullptr) {
-    s.lane_busy_seconds = pool_->lane_busy_seconds();
-    double busy = 0.0;
-    for (const double b : s.lane_busy_seconds) busy += b;
-    s.barrier_stall_seconds =
-        std::max(0.0, static_cast<double>(lanes_) * s.pool_wall_seconds - busy);
-  }
-  return s;
 }
 
 void GpuTop::maybe_heartbeat() {
@@ -562,259 +538,12 @@ void GpuTop::maybe_heartbeat() {
                       : 0.0;
   const double eta = frac > 0.0 ? elapsed * (1.0 - frac) / frac : -1.0;
 
-  char lanes_buf[160];
-  lanes_buf[0] = '\0';
-  if (pool_ != nullptr && self_enabled_ && self_stats_.pool_wall_seconds > 0.0) {
-    const std::vector<double> busy = pool_->lane_busy_seconds();
-    int n = std::snprintf(lanes_buf, sizeof(lanes_buf), " lanes=");
-    for (std::size_t i = 0; i < busy.size() && n > 0 &&
-                            n < static_cast<int>(sizeof(lanes_buf)) - 8;
-         ++i) {
-      n += std::snprintf(lanes_buf + n, sizeof(lanes_buf) - n, "%s%.0f%%",
-                         i == 0 ? "" : ",",
-                         100.0 * busy[i] / self_stats_.pool_wall_seconds);
-    }
-  }
-  log_status("hb core=%llu mem=%llu %.2f Mcyc/s warps=%zu/%zu eta=%.0fs "
-             "queued=%zu%s",
+  log_status("hb core=%llu mem=%llu %.2f Mcyc/s warps=%zu/%zu eta=%.0fs queued=%zu",
              static_cast<unsigned long long>(core_cycle_),
              static_cast<unsigned long long>(mem_now_), mcps, warps_done,
-             warps_total, eta, queued, lanes_buf);
+             warps_total, eta, queued);
   last_heartbeat_ = now;
   last_heartbeat_core_ = core_cycle_;
-}
-
-Cycle GpuTop::serial_next_event() const {
-  const Cycle now = core_cycle_;
-  // Any packet anywhere in either crossbar keeps the serial side hot: it
-  // moves (or becomes poppable) on its own schedule the switch doesn't
-  // expose, so poll. Idle switches tick as pure no-ops.
-  if (!req_xbar_.idle() || !reply_xbar_.idle()) return now + 1;
-  Cycle ev = kNeverCycle;
-  for (const auto& sm : sms_) {
-    ev = std::min(ev, sm->next_event(now));
-    if (ev <= now + 1) return now + 1;
-  }
-  for (const Partition& p : partitions_) {
-    // Backlogged inputs / deferred enqueues retry every cycle (they wait on
-    // MC queue space, which the memory side frees at its own pace).
-    if (!p.input_backlog.empty() || !p.pending_mc.empty()) return now + 1;
-    if (!p.pending_replies.empty()) {
-      // FIFO with a constant L2-hit latency: the head is the earliest.
-      const Cycle ready = p.pending_replies.front().ready;
-      if (ready <= now) return now + 1;
-      ev = std::min(ev, ready);
-    }
-    // Warmup flips on the step after the threshold fill; never pending
-    // across a quiet span (fills only change while the serial side is hot),
-    // but cheap to be exact about.
-    if (!p.ams_ready && p.lazy != nullptr &&
-        p.l2.fills() >= cfg_.scheme.l2_warmup_fills)
-      return now + 1;
-  }
-  return ev;
-}
-
-void GpuTop::init_sharding() {
-  lanes_ = std::min<unsigned>(cfg_.shard_threads, num_channels());
-  if (lanes_ <= 1) {
-    lanes_ = 1;
-    return;
-  }
-  if (pool_ != nullptr) return;
-  pool_ = std::make_unique<ShardPool>(lanes_);
-  captures_.resize(num_channels());
-  for (ChannelCapture& cap : captures_) {
-    cap.tracer.set_sink(&cap.sink);
-    if (lifecycle_ != nullptr && cap.lifecycle == nullptr)
-      cap.lifecycle = std::make_unique<CaptureLifecycle>();
-  }
-}
-
-void GpuTop::run_wheel(Cycle max_core_cycles) {
-  const bool heartbeat = cfg_.heartbeat_seconds > 0.0;
-  while (core_cycle_ < max_core_cycles) {
-    Cycle resume = std::min(serial_next_event(), max_core_cycles);
-    // Never skip past the legacy loop's finished() poll boundary, so the
-    // exit cycle (and core_cycles() metric) matches it exactly.
-    resume = std::min(resume, (core_cycle_ | 1023) + 1);
-    // Earliest memory event the serial side could observe: a reply becoming
-    // poppable or the soonest possible CAS data return. The first core cycle
-    // whose step sees that memory cycle bounds the skip; everything strictly
-    // before it is provably free of cross-domain traffic.
-    Cycle mem_cross = kNeverCycle;
-    for (const Partition& p : partitions_)
-      mem_cross = std::min(mem_cross, p.mc->next_cross_event(mem_now_));
-    if (mem_cross != kNeverCycle)
-      resume = std::min(resume, core_cycle_ + divider_.fast_cycles_until(mem_cross));
-    if (resume <= core_cycle_ + 1) {
-      step();
-      if ((core_cycle_ & 1023) == 0) {
-        if (finished()) return;
-        if (heartbeat) maybe_heartbeat();
-      }
-      continue;
-    }
-    // Fast-forward: no serial work and no cross-domain event until `resume`.
-    // Advance the memory side alone over the skipped span and land the core
-    // clock at resume - 1 so the next iteration steps at `resume`.
-    divider_.advance(resume - 1 - core_cycle_);
-    const Cycle m_end = divider_.slow_cycles();
-    if (m_end > mem_now_) {
-      const bool parallel = lanes_ > 1 && m_end - mem_now_ >= kParallelSpanMin;
-      // Span-boundary clock reads are the whole cost of memory-side
-      // attribution — the per-tick loops stay untimed.
-      std::chrono::steady_clock::time_point t0;
-      if (self_enabled_) t0 = std::chrono::steady_clock::now();
-      if (parallel)
-        run_mem_span_parallel(mem_now_, m_end);
-      else
-        run_mem_span(mem_now_, m_end);
-      if (self_enabled_) {
-        const double dt =
-            seconds_between(t0, std::chrono::steady_clock::now());
-        if (parallel) {
-          self_stats_.mem_parallel_wall_seconds += dt;
-          ++self_stats_.parallel_epochs;
-        } else {
-          self_stats_.mem_serial_seconds += dt;
-          ++self_stats_.serial_spans;
-        }
-      }
-      mem_now_ = m_end;
-    }
-    core_cycle_ = resume - 1;
-    if (heartbeat) maybe_heartbeat();
-  }
-}
-
-void GpuTop::run_mem_span(Cycle m0, Cycle m1) {
-  Cycle m = m0;
-  while (m < m1) {
-    Cycle ev = kNeverCycle;
-    for (Partition& p : partitions_) ev = std::min(ev, p.mc->next_event(m));
-    if (ev > m + 1) {
-      const Cycle to = std::min(ev - 1, m1);
-      for (Partition& p : partitions_) p.mc->advance_idle(m, to);
-      m = to;
-      continue;
-    }
-    ++m;
-    for (Partition& p : partitions_) p.mc->tick(m);
-  }
-}
-
-void GpuTop::advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture* cap) {
-  MemoryController& mc = *partitions_[ch].mc;
-  Cycle m = m0;
-  while (m < m1) {
-    const Cycle ev = mc.next_event(m);
-    if (ev > m + 1) {
-      const Cycle to = std::min(ev - 1, m1);
-      mc.advance_idle(m, to);
-      m = to;
-      continue;
-    }
-    ++m;
-    if (cap == nullptr) {
-      mc.tick(m);
-    } else {
-      try {
-        mc.tick(m);
-      } catch (...) {
-        cap->error = std::current_exception();
-        cap->error_cycle = m;
-        return;
-      }
-    }
-  }
-}
-
-void GpuTop::install_captures() {
-  const bool trace_on = tracer_ != nullptr && tracer_->enabled();
-  for (ChannelId ch = 0; ch < num_channels(); ++ch) {
-    Partition& p = partitions_[ch];
-    ChannelCapture& cap = captures_[ch];
-    if (trace_on) {
-      p.mc->set_tracer(&cap.tracer);  // Forwards to the window sampler too.
-      if (p.lazy != nullptr) p.lazy->set_telemetry(&cap.tracer, ch);
-      if (checkers_[ch] != nullptr) checkers_[ch]->set_tracer(&cap.tracer);
-    }
-    if (lifecycle_ != nullptr) {
-      p.mc->set_lifecycle(cap.lifecycle.get());
-      if (p.lazy != nullptr) p.lazy->set_lifecycle(cap.lifecycle.get());
-    }
-  }
-}
-
-void GpuTop::restore_captures() {
-  const bool trace_on = tracer_ != nullptr && tracer_->enabled();
-  for (ChannelId ch = 0; ch < num_channels(); ++ch) {
-    Partition& p = partitions_[ch];
-    if (trace_on) {
-      p.mc->set_tracer(tracer_);
-      if (p.lazy != nullptr) p.lazy->set_telemetry(tracer_, ch);
-      if (checkers_[ch] != nullptr) checkers_[ch]->set_tracer(tracer_);
-    }
-    if (lifecycle_ != nullptr) {
-      p.mc->set_lifecycle(lifecycle_);
-      if (p.lazy != nullptr) p.lazy->set_lifecycle(lifecycle_);
-    }
-  }
-}
-
-void GpuTop::run_mem_span_parallel(Cycle m0, Cycle m1) {
-  install_captures();
-  const unsigned lanes = lanes_;
-  const unsigned channels = num_channels();
-  // A strict violation inside a lane must not dump the flight rings while
-  // sibling lanes are still writing theirs; defer until after the barrier
-  // and the deterministic capture drain below.
-  telemetry::FlightRecorder::set_deferred(true);
-  std::chrono::steady_clock::time_point t0;
-  if (self_enabled_) t0 = std::chrono::steady_clock::now();
-  pool_->run([&](unsigned lane) {
-    for (ChannelId ch = lane; ch < channels; ch += lanes)
-      advance_channel(ch, m0, m1, &captures_[ch]);
-  });
-  if (self_enabled_)
-    self_stats_.pool_wall_seconds +=
-        seconds_between(t0, std::chrono::steady_clock::now());
-  telemetry::FlightRecorder::set_deferred(false);
-  restore_captures();
-
-  // Earliest strict-checker abort wins, matching the serial loop's
-  // (cycle, channel) scan order; replay the trace prefix up to it.
-  std::size_t bad = captures_.size();
-  for (std::size_t ch = 0; ch < captures_.size(); ++ch) {
-    if (captures_[ch].error == nullptr) continue;
-    if (bad == captures_.size() || captures_[ch].error_cycle < captures_[bad].error_cycle)
-      bad = ch;
-  }
-  if (bad != captures_.size()) {
-    drain_captures(captures_, tracer_, lifecycle_, captures_[bad].error_cycle,
-                   static_cast<ChannelId>(bad));
-    const std::exception_ptr err = captures_[bad].error;
-    for (ChannelCapture& cap : captures_) {
-      cap.error = nullptr;
-      cap.error_cycle = 0;
-    }
-    // The drain just replayed the merged (cycle, channel)-ordered prefix —
-    // violation event included — into the main tracer's flight rings, and
-    // every lane is quiesced, so this is the deterministic point to leave
-    // the forensics the in-lane (deferred) dump could not.
-    try {
-      std::rethrow_exception(err);
-    } catch (const std::exception& e) {
-      telemetry::FlightRecorder::dump_all("protocol_violation", e.what());
-      throw;
-    } catch (...) {
-      telemetry::FlightRecorder::dump_all("protocol_violation",
-                                          "non-standard exception");
-      throw;
-    }
-  }
-  drain_captures(captures_, tracer_, lifecycle_);
 }
 
 }  // namespace lazydram::gpu

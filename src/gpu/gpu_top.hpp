@@ -23,7 +23,6 @@
 #include "core/value_predictor.hpp"
 #include "dram/address.hpp"
 #include "gpu/functional_memory.hpp"
-#include "gpu/shard.hpp"
 #include "gpu/sm.hpp"
 #include "icnt/crossbar.hpp"
 #include "mem/controller.hpp"
@@ -59,19 +58,8 @@ class GpuTop {
          check::CheckContext* check = nullptr);
 
   /// Runs until the workload finishes and the memory system drains, or
-  /// `max_core_cycles` elapse. Returns true iff it finished.
-  ///
-  /// With GpuConfig::shard_threads == 0 this is the legacy cycle-by-cycle
-  /// loop. Otherwise the event-wheel driver runs: whenever the serial side
-  /// (SMs, crossbars, partition front-ends) has no work before the earliest
-  /// cross-domain event (a reply becoming poppable, the soonest possible
-  /// CAS data return), the core clock fast-forwards and only the memory
-  /// controllers advance over the gap — each skipping its own quiet spans
-  /// via next_event()/advance_idle(). shard_threads > 1 additionally runs
-  /// those controller-only epochs on a worker-lane pool with per-lane
-  /// telemetry capture, merged in (cycle, channel) order at each barrier.
-  /// Every mode is bit-identical in results and byte-identical in trace
-  /// output (Sharding.* tests, tools/diffcheck).
+  /// `max_core_cycles` elapse. Returns true iff it finished. The one driver:
+  /// step() every core cycle, polling finished() every 1024th.
   bool run(Cycle max_core_cycles = 200'000'000);
 
   /// Advances one core cycle.
@@ -114,36 +102,20 @@ class GpuTop {
   void register_stats(telemetry::TelemetryHub& hub) const;
 
   /// Wall-clock attribution of one run(), collected only while the
-  /// SelfProfiler is armed (all zero otherwise). The hot loops carry no RAII
-  /// zones; instead the wheel reads the clock at span boundaries and samples
-  /// one core step in 64, so arming stays within the <=5% overhead budget:
-  ///   serial_seconds            = run wall not spent in memory-only spans
-  ///                               (SMs + crossbars + partition front-ends,
-  ///                               i.e. the side ROADMAP item 2 wants to
-  ///                               shard next);
-  ///   mem_serial_seconds        = memory-only spans run on the caller;
-  ///   mem_parallel_wall_seconds = memory-only epochs run on the lane pool;
-  ///   barrier_stall_seconds     = lane-pool capacity not spent advancing
-  ///                               channels (lanes * pool wall - busy sum).
-  /// The sm/icnt/partition sample sums decompose the sampled steps' wall
-  /// time; scale by 64 (or normalize by step_samples) for shares.
+  /// SelfProfiler is armed (all zero otherwise). The hot loop carries no RAII
+  /// zones; run() reads the clock at its ends and step() times one core step
+  /// in 64, so arming stays within the <=5% overhead budget. The sm/icnt/
+  /// partition sample sums decompose the sampled steps' wall time; scale by
+  /// 64 (or normalize by step_samples) for shares. (The name predates the
+  /// single run loop; reports and the benchmark read it under this name.)
   struct WheelSelfStats {
     double run_wall_seconds = 0.0;
-    double serial_seconds = 0.0;
-    double mem_serial_seconds = 0.0;
-    double mem_parallel_wall_seconds = 0.0;
-    double pool_wall_seconds = 0.0;
-    std::uint64_t serial_spans = 0;
-    std::uint64_t parallel_epochs = 0;
     std::uint64_t step_samples = 0;
     double sm_sample_seconds = 0.0;
     double icnt_sample_seconds = 0.0;
     double partition_sample_seconds = 0.0;
-    std::vector<double> lane_busy_seconds;  ///< One slot per worker lane.
-    double barrier_stall_seconds = 0.0;
-    unsigned lanes = 1;
   };
-  WheelSelfStats self_stats() const;
+  WheelSelfStats self_stats() const { return self_stats_; }
 
  private:
   struct PendingReply {
@@ -175,43 +147,8 @@ class GpuTop {
   void handle_request_packet(Partition& p, unsigned idx, const icnt::Packet& pkt,
                              bool& stalled);
 
-  // --- Event-wheel / sharded driver (see run()) ---
-
-  /// First future core cycle at which step() could do serial-side work,
-  /// assuming the memory side stays quiet (cross-domain events are bounded
-  /// separately by MemoryController::next_cross_event). Conservative: any
-  /// in-flight crossbar packet, backlog, or due reply degrades to now + 1.
-  Cycle serial_next_event() const;
-
-  /// Event-wheel main loop (shard_threads >= 1).
-  void run_wheel(Cycle max_core_cycles);
-
-  /// Sizes the lane pool and capture buffers on first wheel entry.
-  void init_sharding();
-
-  /// Advances every controller over memory cycles (m0, m1] in lockstep
-  /// (cycle-major, channel order) with direct telemetry emission — the
-  /// serial epoch body. Controllers skip shared quiet spans via the global
-  /// minimum of their next_event horizons.
-  void run_mem_span(Cycle m0, Cycle m1);
-
-  /// Same span, but each lane advances its own channels independently with
-  /// telemetry captured per channel and replayed in (cycle, channel) order
-  /// at the barrier; a strict-checker throw is rethrown after replaying the
-  /// serial prefix of the trace.
-  void run_mem_span_parallel(Cycle m0, Cycle m1);
-
-  /// Advances one channel over (m0, m1], skipping its private quiet spans.
-  /// With `cap` non-null, an exception from tick() is parked in the capture
-  /// slot (stamped with the throwing cycle) instead of propagating.
-  void advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture* cap);
-
-  void install_captures();
-  void restore_captures();
-
   /// Emits one LAZYDRAM_HEARTBEAT status line when the period elapsed.
-  /// Called from coarse loop boundaries only (every 1024th step / each
-  /// fast-forward), never when cfg_.heartbeat_seconds == 0.
+  /// Called every 1024th step only, never when cfg_.heartbeat_seconds == 0.
   void maybe_heartbeat();
 
   GpuConfig cfg_;
@@ -240,11 +177,6 @@ class GpuTop {
   /// checking is off; used only for stats registration).
   std::vector<check::ProtocolChecker*> checkers_;
 
-  // Sharded-driver state (inert unless cfg_.shard_threads > 1).
-  unsigned lanes_ = 1;                  ///< Worker lanes (capped at channels).
-  std::unique_ptr<ShardPool> pool_;
-  std::vector<ChannelCapture> captures_;  ///< One per channel.
-
   // Self-observability state (inert unless the SelfProfiler is armed /
   // cfg_.heartbeat_seconds > 0). Strictly passive: never read by simulation.
   bool self_enabled_ = false;  ///< SelfProfiler::enabled(), cached at run().
@@ -258,10 +190,6 @@ class GpuTop {
   static constexpr unsigned kInputsPerCycle = 2;
   static constexpr unsigned kRepliesPerCycle = 4;
   static constexpr std::size_t kPendingMcCap = 64;
-  /// Minimum parallel-epoch length in memory cycles; shorter spans run on
-  /// the calling thread (barrier latency would dominate). Execution-strategy
-  /// only — results are bit-identical either way.
-  static constexpr Cycle kParallelSpanMin = 8;
 };
 
 }  // namespace lazydram::gpu

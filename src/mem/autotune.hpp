@@ -25,18 +25,6 @@ class AutotuneScheduler : public Scheduler {
   void fill_probe(telemetry::WindowProbe& probe) const override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
 
-  /// The only self-scheduled tick effect is the window-boundary adjustment.
-  Cycle next_tick_event(Cycle now) const override {
-    return window_end_ > now ? window_end_ : now + 1;
-  }
-
-  /// Idle ticks strictly before window_end_ return immediately; nothing to
-  /// reconstruct.
-  void advance_idle(Cycle from, Cycle to) override {
-    (void)from;
-    (void)to;
-  }
-
   Cycle delay() const { return delay_; }
   std::uint64_t accepts() const { return accepts_; }
   std::uint64_t backoffs() const { return backoffs_; }

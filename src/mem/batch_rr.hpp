@@ -26,12 +26,6 @@ class BatchRrScheduler : public Scheduler {
   /// The rotation rule deliberately closes a capped row with hits pending.
   bool hit_first() const override { return false; }
 
-  /// Batch state only moves on serves, never on idle ticks.
-  Cycle next_tick_event(Cycle now) const override {
-    (void)now;
-    return kNeverCycle;
-  }
-
   std::uint64_t rotations() const { return rotations_; }
 
  private:

@@ -39,18 +39,6 @@ class BlissScheduler : public Scheduler {
   /// candidates, so per-bank decide() memos are unsound for this policy.
   bool decide_memo_safe() const override { return false; }
 
-  /// The only self-scheduled tick effect is the interval clear.
-  Cycle next_tick_event(Cycle now) const override {
-    return next_clear_ > now ? next_clear_ : now + 1;
-  }
-
-  /// Idle ticks strictly before next_clear_ are no-ops (tick returns
-  /// immediately), so there is no per-tick state to reconstruct.
-  void advance_idle(Cycle from, Cycle to) override {
-    (void)from;
-    (void)to;
-  }
-
   bool blacklisted(SmId sm) const { return blacklist_[sm]; }
   std::uint64_t blacklist_events() const { return blacklist_events_; }
   std::uint64_t clear_events() const { return clear_events_; }

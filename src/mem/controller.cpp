@@ -390,74 +390,6 @@ void MemoryController::tick(Cycle now_mem) {
   }
 }
 
-Cycle MemoryController::next_event(Cycle now) const {
-  // Conservative bail-outs: without the fast-path invariants there are no
-  // wake memos to reason from; the closed-row ablation issues idle
-  // precharges from unmemoized banks; a stream recorder logs the DMS delay
-  // every tick. In all three cases every cycle must run for real.
-  if (!fast_path_ || row_policy_ != RowPolicy::kOpenRow || recorder_ != nullptr)
-    return now + 1;
-
-  Cycle ev = next_burst_done_;  // Completion scan has work at this cycle.
-  ev = std::min(ev, scheduler_->next_tick_event(now));
-  if (checker_ != nullptr) ev = std::min(ev, checker_->next_tick_event(queue_, now));
-  if (sampler_ != nullptr) ev = std::min(ev, sampler_->next_boundary());
-
-  const bool may_drop = drops_possible_ && scheduler_->may_drop();
-  if (queue_.empty()) {
-    // The idle short-circuit skips both passes — unless a drain awaiting
-    // lazy retirement keeps the drop pass visiting its bank (every visit
-    // mutates scheduler state, so those cycles are not no-ops). Budget
-    // headroom alone (may_drop() on an empty queue) gives the pass nothing
-    // to visit and stays skippable.
-    if (drops_possible_ && scheduler_->draining()) return now + 1;
-  } else {
-    // The command pass is parked until cmd_wake_ (and the drop pass until
-    // drop_wake_); a wake at or before `now` means the pass runs next cycle.
-    ev = std::min(ev, cmd_wake_ > now ? cmd_wake_ : now + 1);
-    if (may_drop) ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
-  }
-  return ev > now ? ev : now + 1;
-}
-
-Cycle MemoryController::next_cross_event(Cycle now) const {
-  Cycle ev = kNeverCycle;
-  if (!replies_.empty()) {
-    const Cycle ready = replies_.front().ready_cycle;
-    ev = std::min(ev, ready > now ? ready : now + 1);
-  }
-  // A read burst becomes a poppable reply exactly at its done cycle (write
-  // completions are not observable, so this is conservative but sound).
-  ev = std::min(ev, next_burst_done_);
-  if (!queue_.empty()) {
-    // No command can issue before max(now + 1, cmd_wake_), and a read CAS at
-    // cycle c returns data no earlier than c + tCL + tBURST. Drops create a
-    // same-cycle reply, so their bound is the drop pass wake itself.
-    const DramTiming& t = dram_.timing();
-    const Cycle cas = cmd_wake_ > now ? cmd_wake_ : now + 1;
-    ev = std::min(ev, cas + t.tCL + t.tBURST);
-    if (drops_possible_ && scheduler_->may_drop())
-      ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
-  }
-  return ev > now ? ev : now + 1;
-}
-
-void MemoryController::advance_idle(Cycle from, Cycle to) {
-  if (to <= from) return;
-  // One past the last replayed cycle, same as tick(to) would leave it.
-  end_mem_ = to + 1;
-  scheduler_->advance_idle(from, to);
-  if (sampler_ != nullptr) {
-    // Only the gauge fields of intermediate probes are ever read (counters
-    // are differenced at window closes, which never fall inside a skipped
-    // span), and all gauges are constant across it.
-    telemetry::WindowProbe probe;
-    scheduler_->fill_probe(probe);
-    probe.queue_size = queue_.size();
-    sampler_->advance(to, to - from, probe);
-  }
-}
-
 std::optional<MemReply> MemoryController::pop_reply(Cycle now_mem) {
   if (replies_.empty() || replies_.front().ready_cycle > now_mem) return std::nullopt;
   MemReply r = replies_.front();

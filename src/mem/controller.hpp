@@ -57,34 +57,6 @@ class MemoryController {
 
   void tick(Cycle now_mem);
 
-  // --- Event-wheel horizons (sharded/fast-forward main loop) ---
-
-  /// Earliest future memory cycle (> now) at which tick() could have any
-  /// observable effect, assuming nothing external touches the controller in
-  /// between (no enqueue, no reply pop — both end a skip anyway). All ticks
-  /// in (now, next_event(now)) are provable no-ops except for per-tick
-  /// bookkeeping that advance_idle() replays exactly. Returns now + 1
-  /// whenever no cheap proof applies (non-fast-path, closed-row ablation, an
-  /// attached recorder, a pending drain, ...): the conservative answer is
-  /// always sound, it just disables skipping.
-  Cycle next_event(Cycle now) const;
-
-  /// Earliest future memory cycle (> now) at which this channel could emit
-  /// something the rest of the system can observe: a reply becoming
-  /// poppable. Lower-bounds the data return of any not-yet-issued CAS by
-  /// cmd_wake_ (no command can issue while the pass is parked) plus
-  /// tCL + tBURST. The sharded main loop bounds its epoch length by the
-  /// minimum of this over all channels, so no SM can miss a wakeup.
-  Cycle next_cross_event(Cycle now) const;
-
-  /// Replays the ticks of the idle span (from, to] in one call: `from` is
-  /// the last actually-ticked cycle, and next_event(from) must be > to.
-  /// Bit-identical to ticking every cycle of the span: the scheduler and
-  /// window sampler bulk-replay their per-tick accumulators; everything else
-  /// (completion scan, checker starvation scan, drop/command passes) is a
-  /// proven no-op inside the span.
-  void advance_idle(Cycle from, Cycle to);
-
   /// Pops the next ready reply, if any became ready at or before `now_mem`.
   std::optional<MemReply> pop_reply(Cycle now_mem);
 
@@ -134,8 +106,7 @@ class MemoryController {
 
   /// Routes row-activation and row-group-drop events through `tracer`
   /// (nullable to detach). Forwards to the window sampler when sampling is
-  /// enabled, so a single call re-routes every controller-side event stream
-  /// (the sharded loop swaps lane-local capture tracers in and out this way).
+  /// enabled, so a single call re-routes every controller-side event stream.
   void set_tracer(telemetry::Tracer* tracer) {
     tracer_ = tracer;
     if (sampler_ != nullptr) sampler_->set_tracer(tracer);

@@ -14,12 +14,6 @@ class FcfsScheduler : public Scheduler {
 
   /// Strict age order closes an open row even while hits for it pend.
   bool hit_first() const override { return false; }
-
-  /// Stateless per tick: an idle channel never changes a future decision.
-  Cycle next_tick_event(Cycle now) const override {
-    (void)now;
-    return kNeverCycle;
-  }
 };
 
 }  // namespace lazydram

@@ -10,12 +10,6 @@ namespace lazydram {
 class FrFcfsScheduler : public Scheduler {
  public:
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
-
-  /// Stateless per tick: an idle channel never changes a future decision.
-  Cycle next_tick_event(Cycle now) const override {
-    (void)now;
-    return kNeverCycle;
-  }
 };
 
 }  // namespace lazydram

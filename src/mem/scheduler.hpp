@@ -106,7 +106,7 @@ class Scheduler {
   /// pending queue: may_drop() also answers true on mere budget headroom
   /// (coverage below cap), but with nothing queued and nothing draining the
   /// pass provably visits no bank and mutates nothing — the controller's
-  /// idle short-circuit and next_event() horizon key off this instead.
+  /// idle short-circuit keys off this instead.
   virtual bool draining() const { return false; }
 
   /// Called once per memory cycle before any decide(); `bus_busy_total` is
@@ -114,28 +114,6 @@ class Scheduler {
   virtual void tick(Cycle now, std::uint64_t bus_busy_total) {
     (void)now;
     (void)bus_busy_total;
-  }
-
-  /// Earliest future memory cycle (> now) at which tick() has an observable
-  /// effect *assuming the channel stays idle* (no enqueues, serves, drops or
-  /// bus activity in between). The event-wheel main loop uses this to bulk-
-  /// skip quiet spans: a policy whose tick mutates time-varying state (DMS /
-  /// AMS window boundaries, a blacklist clearing interval) must return its
-  /// next boundary; policies whose tick is a no-op (or whose per-tick state
-  /// is reconstructed exactly by advance_idle) return kNeverCycle. The
-  /// conservative default — "every cycle matters" — is always sound.
-  virtual Cycle next_tick_event(Cycle now) const { return now + 1; }
-
-  /// Replays the effect of tick() for the idle span (from, to] in one call:
-  /// after advance_idle(from, to) the policy's observable state (probes,
-  /// stats, subsequent decisions) must be bit-identical to having called
-  /// tick(m, bus_busy) for every m in (from, to] with an unchanged channel.
-  /// Only invoked when next_tick_event(from) > to, so no window boundary or
-  /// other self-scheduled event falls inside the span. Stateless-per-tick
-  /// policies need nothing.
-  virtual void advance_idle(Cycle from, Cycle to) {
-    (void)from;
-    (void)to;
   }
 
   /// Notification: a request entered the pending queue.

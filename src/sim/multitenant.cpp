@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -24,6 +26,15 @@ double jain_index(const std::vector<double>& xs) {
 
 MultitenantResult run_multitenant(const gpu::TenantSet& tenants,
                                   const RunConfig& config, unsigned jobs) {
+  // The GPU runs one wave of resident warps; a mix that does not fit is a
+  // bad request, not a simulator fault.
+  const unsigned warps = tenants.workload().num_warps();
+  const unsigned slots = config.gpu.num_sms * config.gpu.max_warps_per_sm;
+  if (warps > slots)
+    throw std::invalid_argument(
+        "tenant mix needs " + std::to_string(warps) + " warps but the GPU holds " +
+        std::to_string(slots) + " resident warps (num_sms x max_warps_per_sm)");
+
   RunConfig shared_cfg = config;
   tenants.apply_qos(shared_cfg.gpu);
 

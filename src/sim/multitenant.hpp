@@ -36,7 +36,8 @@ struct MultitenantResult {
 /// TenantSet::apply_qos) and then every tenant's alone-run baseline, up to
 /// `jobs` baselines in parallel. Baseline results are stored by tenant index
 /// and each lane suppresses env-named outputs, so the result is bit-identical
-/// for any `jobs` value.
+/// for any `jobs` value. Throws std::invalid_argument, before any run, when
+/// the mix has more warps than the GPU's num_sms x max_warps_per_sm slots.
 MultitenantResult run_multitenant(const gpu::TenantSet& tenants,
                                   const RunConfig& config, unsigned jobs = 1);
 

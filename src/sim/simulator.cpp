@@ -52,23 +52,6 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
                pw.c_str());
   }
 
-  // Sharded run loop: LAZYDRAM_SHARD=N partitions the memory controllers
-  // over N worker lanes inside the event-wheel driver (0 = legacy loop,
-  // 1 = event wheel on one thread). Results and trace output are
-  // bit-identical for every value; an explicit RunConfig/GpuConfig setting
-  // wins over the environment.
-  if (cfg.shard_threads == 0) {
-    if (const std::string sh = telemetry::env_string("LAZYDRAM_SHARD"); !sh.empty()) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(sh.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0' && v <= 64)
-        cfg.shard_threads = static_cast<unsigned>(v);
-      else
-        log_warn("LAZYDRAM_SHARD='%s' not recognized (want an integer 0..64); ignored",
-                 sh.c_str());
-    }
-  }
-
   // Self-observability knobs. The profiler arm switch is process-global and
   // sticky: a run that wants it only ever turns it ON (a concurrent sweep
   // sibling may still be profiling), so per-run A/B toggling is left to
@@ -233,27 +216,18 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
     out.telemetry.lifecycle = lc->summary();
   }
 
-  // Detach the self-attribution before `top` dies: the run loop's wall-time
-  // split (core-side vs memory-side vs barrier stall) plus the merged zone
-  // tree from every thread that touched the profiler.
+  // Detach the self-attribution before `top` dies: the run wall, the sampled
+  // step split plus the merged zone tree from every thread that touched the
+  // profiler.
   if (cfg.self_profile) {
     const gpu::GpuTop::WheelSelfStats ws = top.self_stats();
     telemetry::SelfProfileReport& sp = out.telemetry.self_profile;
     sp.enabled = true;
     sp.run_wall_seconds = ws.run_wall_seconds;
-    sp.serial_seconds = ws.serial_seconds;
-    sp.mem_serial_seconds = ws.mem_serial_seconds;
-    sp.mem_parallel_wall_seconds = ws.mem_parallel_wall_seconds;
-    sp.pool_wall_seconds = ws.pool_wall_seconds;
-    sp.barrier_stall_seconds = ws.barrier_stall_seconds;
-    sp.serial_spans = ws.serial_spans;
-    sp.parallel_epochs = ws.parallel_epochs;
     sp.step_samples = ws.step_samples;
     sp.sm_sample_seconds = ws.sm_sample_seconds;
     sp.icnt_sample_seconds = ws.icnt_sample_seconds;
     sp.partition_sample_seconds = ws.partition_sample_seconds;
-    sp.lane_busy_seconds = ws.lane_busy_seconds;
-    sp.lanes = ws.lanes;
     telemetry::SelfProfiler::Snapshot snap = telemetry::SelfProfiler::instance().snapshot();
     if (telemetry::ChromeTraceSink* chrome = tele.chrome_sink())
       chrome->write_self_profile(snap);

@@ -7,9 +7,9 @@
 //  * Cheap enough to leave compiled in: a disabled zone is one relaxed
 //    atomic load; an enabled zone is two steady_clock reads plus a short
 //    child-list walk in a per-thread tree. Hot per-cycle loops do NOT get
-//    zones — GpuTop attributes them with span-boundary clock reads and a
+//    zones — GpuTop attributes them with run-boundary clock reads and a
 //    1-in-64 sampled step decomposition instead (see WheelSelfStats).
-//  * Thread-aware: every thread (sweep workers, shard lanes) aggregates into
+//  * Thread-aware: every thread (sweep workers) aggregates into
 //    its own tree; snapshot() merges by zone-name path.
 //
 // Each thread also keeps a bounded begin/end event timeline so the self-time

@@ -28,14 +28,6 @@ void WindowSampler::tick(Cycle now, const WindowProbe& probe) {
   last_tick_ = now;
 }
 
-void WindowSampler::advance(Cycle to, std::uint64_t n, const WindowProbe& probe) {
-  ticks_ += n;
-  delay_sum_ += probe.dms_delay * n;
-  th_rbl_sum_ += probe.th_rbl * n;
-  queue_sum_ += probe.queue_size * n;
-  last_tick_ = to;
-}
-
 void WindowSampler::flush(const WindowProbe& probe) {
   if (ticks_ > 0) close_window(last_tick_ + 1, probe);
 }

@@ -101,25 +101,7 @@ class WindowSampler {
   /// Once per memory cycle, after the channel finished its work for `now`.
   void tick(Cycle now, const WindowProbe& probe);
 
-  /// Bulk-replays `n` consecutive idle ticks ending at cycle `to`, all of
-  /// which carry the same gauge values (`probe.dms_delay` / `th_rbl` /
-  /// `queue_size` constant across the span — the event-wheel only skips
-  /// spans where that provably holds) and none of which lands on or past the
-  /// next window boundary (see next_boundary). Bit-identical to calling
-  /// tick() n times: the counter fields of intermediate probes are never
-  /// read (only the probe at a window close is), and the per-tick gauge sums
-  /// are integer, so bulk addition is exact.
-  void advance(Cycle to, std::uint64_t n, const WindowProbe& probe);
-
-  /// First cycle whose tick may close a window: the end of the current
-  /// profile-window grid slot. Conservative when the open window has no
-  /// ticks yet (the close would actually wait one more tick) — a real tick
-  /// executed at the boundary is always sound, just not always needed.
-  Cycle next_boundary() const { return window_start_ + window_; }
-
-  /// Re-routes closed windows through `tracer` (nullable to detach). The
-  /// sharded main loop swaps in a lane-local capture tracer around parallel
-  /// epochs and restores the real one at the barrier.
+  /// Re-routes closed windows through `tracer` (nullable to detach).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Closes the final partial window (if any ticks are pending) against the

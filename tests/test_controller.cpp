@@ -3,8 +3,11 @@
 // behaviour, FR-FCFS ordering, service conservation and RBL accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/config.hpp"
 #include "core/scheduler_registry.hpp"
+#include "core/scheme.hpp"
 #include "dram/address.hpp"
 #include "mem/controller.hpp"
 
@@ -139,6 +142,68 @@ TEST(MemoryController, InterleavedStreamsKeepPerBankLocality) {
   h.mc_.finalize();
   EXPECT_EQ(h.replies_, 12u);
   EXPECT_EQ(h.mc_.channel().activations(), 2u);
+}
+
+// Regression (stale horizon memos): the controller memoizes per-bank retry
+// and none-until horizons plus pass-level wakes under the DMS delay in force
+// when they were recorded. Dyn-DMS moves that delay at window boundaries —
+// including large downward jumps at search restarts — and a memo recorded
+// under the old delay would otherwise park a newly-eligible bank past its
+// legal service cycle. The fix clears every memo on a delay edge; with it,
+// fast-path on/off runs are command-for-command identical. Small windows and
+// frequent restarts make this fail deterministically on the stale-memo bug.
+TEST(MemoryController, DelayChangeInvalidatesHorizonMemos) {
+  GpuConfig cfg;
+  cfg.scheme.profile_window = 64;
+  cfg.scheme.windows_per_restart = 2;
+  cfg.scheme.delay_step = 256;
+  cfg.scheme.max_delay = 2048;
+  cfg.validate();
+  const AddressMapper mapper(cfg);
+  const core::SchemeSpec spec =
+      core::make_scheme_spec(core::SchemeKind::kDynDms, cfg.scheme);
+
+  GpuConfig cfg_off = cfg;
+  cfg_off.fast_path = false;
+
+  auto make = [&](const GpuConfig& c) {
+    std::unique_ptr<Scheduler> sched = core::make_scheduler(c, spec);
+    return std::make_unique<MemoryController>(c, 0, mapper, std::move(sched),
+                                              RowPolicy::kOpenRow);
+  };
+  auto fast = make(cfg);
+  auto slow = make(cfg_off);
+
+  // A steady precise row-miss stream (every request a fresh row) keeps banks
+  // age-gated almost continuously, so delay edges land mid-gate.
+  RequestId next_id = 1;
+  std::uint32_t row = 1;
+  Cycle now = 0;
+  for (; now < 6000; ++now) {
+    if (now % 37 == 0) {
+      MemRequest r;
+      r.id = next_id++;
+      r.line_addr = mapper.compose(0, /*bank=*/row % 4, /*row=*/row, 0);
+      r.kind = AccessKind::kRead;
+      ++row;
+      fast->enqueue(r, now);
+      slow->enqueue(r, now);
+    }
+    fast->tick(now);
+    slow->tick(now);
+    while (auto rep = fast->pop_reply(now)) {
+    }
+    while (auto rep = slow->pop_reply(now)) {
+    }
+    ASSERT_EQ(fast->reads_served(), slow->reads_served()) << "cycle " << now;
+    ASSERT_EQ(fast->channel().activations(), slow->channel().activations())
+        << "cycle " << now;
+  }
+  fast->finalize();
+  slow->finalize();
+  EXPECT_GT(fast->reads_served(), 0u);
+  EXPECT_EQ(fast->read_latency().count(), slow->read_latency().count());
+  EXPECT_DOUBLE_EQ(fast->read_latency().mean(), slow->read_latency().mean());
 }
 
 }  // namespace

@@ -271,12 +271,11 @@ TEST(GpuTop, CoreSideCountersPinned) {
                     {241'664, 288'000, 6'892'015, 144'756, 6'313'615, 3'427});
   }
   {
-    // The event wheel fast-forwards the core clock while every SM sleeps on
-    // its MSHR table; the skipped cycles replay on wake.
-    SCOPED_TRACE("SCP Baseline, 8 MSHRs, wheel");
+    // Long stretches with every SM asleep on its MSHR table; the skipped
+    // ticks replay on wake.
+    SCOPED_TRACE("SCP Baseline, 8 MSHRs");
     GpuConfig cfg;
     cfg.l1.mshr_entries = 8;
-    cfg.shard_threads = 1;
     const auto scp = workloads::make_workload("SCP");
     expect_counters(core_side_counters(*scp, core::SchemeKind::kBaseline, cfg),
                     {142'336, 26'400, 4'066'787, 60, 3'935'987, 128'388});

@@ -20,6 +20,7 @@
 #include "dram/address.hpp"
 #include "gpu/tenant.hpp"
 #include "mem/controller.hpp"
+#include "sim/multitenant.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/lifecycle.hpp"
 #include "workloads/mix.hpp"
@@ -106,6 +107,26 @@ TEST(TenantSet, QosInstallationRules) {
   EXPECT_EQ(alone->num_tenants(), 1u);
   EXPECT_EQ(alone->tenant(0).name, three.spec(1).name);
   EXPECT_EQ(alone->tenant_of_addr(0), 0u);
+}
+
+// A mix with more warps than the GPU's resident slots is rejected up front
+// with both numbers in the message, instead of tripping the GpuTop assert.
+TEST(TenantSet, OversizedMixIsRejectedBeforeAnyRun) {
+  const gpu::TenantSet two(gpu::parse_tenant_specs("SCP:think=20000;MVT:think=20000"));
+  sim::RunConfig config;
+  config.compute_error = false;
+  config.ignore_env_outputs = true;
+  const unsigned warps = two.workload().num_warps();
+  const unsigned slots = config.gpu.num_sms * config.gpu.max_warps_per_sm;
+  ASSERT_GT(warps, slots);
+  try {
+    sim::run_multitenant(two, config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(warps)), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(slots)), std::string::npos) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------
