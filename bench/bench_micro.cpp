@@ -18,7 +18,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -149,18 +148,10 @@ struct SchemePerf {
 SchemePerf drive_controller(core::SchemeKind kind, Cycle total_cycles,
                             telemetry::Telemetry* tele = nullptr) {
   GpuConfig cfg;  // fig12 configuration: Table I defaults.
-  // Honor the same A/B knob as sim::simulate so `LAZYDRAM_FAST=off
-  // bench_micro --perf` measures the naive loop (see EXPERIMENTS.md).
-  if (const char* fast = std::getenv("LAZYDRAM_FAST"); fast != nullptr) {
-    if (std::string_view(fast) == "off" || std::string_view(fast) == "0")
-      cfg.fast_path = false;
-  }
-  // Same discipline for the power accountant: `LAZYDRAM_POWER=off
-  // bench_micro --perf` measures the accounting-free hot path.
-  if (const char* power = std::getenv("LAZYDRAM_POWER"); power != nullptr) {
-    if (std::string_view(power) == "off" || std::string_view(power) == "0")
-      cfg.power_accounting = false;
-  }
+  // Honor the same A/B switches as sim::simulate so `LAZYDRAM_FAST=off
+  // bench_micro --perf` measures the naive loop and `LAZYDRAM_POWER=off`
+  // the accounting-free hot path (see EXPERIMENTS.md).
+  sim::apply_env_switches(cfg);
   AddressMapper mapper(cfg);
   core::SchemeSpec spec = core::make_scheme_spec(kind, cfg.scheme);
   std::unique_ptr<Scheduler> sched = core::make_scheduler(cfg, spec);

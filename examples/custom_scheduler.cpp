@@ -1,8 +1,14 @@
 // Extensibility demo: plug a user-defined memory-scheduling policy into the
-// simulated GPU via the SchedulerRegistry. Implements "Oldest-Row-First" — a
+// simulated GPU via the SchedulerRegistry. Implements "Densest-Row-First" — a
 // toy policy that, on a row miss, opens the row with the MOST pending
 // requests instead of the oldest request's row — registers it under the name
 // "densest-row", and compares it against FR-FCFS and the paper's Dyn-DMS.
+//
+// A plugin implements only Scheduler::decide(). The defaults of the other
+// virtuals describe this policy already: traits() says it never drops, is
+// hit-first (row hits are served before any miss) and memo-safe (it keeps no
+// state that couples banks), and it has no per-cycle state, gauges or stats
+// to report.
 //
 // Usage: custom_scheduler [workload]
 #include <iostream>

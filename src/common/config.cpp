@@ -31,6 +31,7 @@ void GpuConfig::validate() const {
                 "a 128B transaction must not straddle channels");
   LD_ASSERT(is_pow2(row_bytes) && row_bytes >= channel_interleave_bytes);
   LD_ASSERT(is_pow2(banks_per_channel));
+  LD_ASSERT_MSG(banks_per_channel <= 64, "per-channel bank masks are 64 bits wide");
   LD_ASSERT(bank_groups_per_channel > 0 &&
             banks_per_channel % bank_groups_per_channel == 0);
   LD_ASSERT(pending_queue_size > 0);

@@ -16,8 +16,9 @@ LazyScheduler::LazyScheduler(const SchemeParams& params, const SchemeSpec& spec,
       draining_(num_banks, kInvalidRow),
       stalled_(num_banks, kNoStall),
       stall_begin_(num_banks, 0),
-      stall_accounted_(num_banks, 0),
-      bank_stall_cycles_(num_banks, 0) {}
+      bank_stall_cycles_(num_banks, 0) {
+  LD_ASSERT_MSG(num_banks <= 64, "draining_banks_ is a 64-bit bank mask");
+}
 
 Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
                                Cycle now) {
@@ -33,8 +34,7 @@ Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
     if (r != nullptr && queue.row_group_all_approximable(bank.bank, row))
       return Decision::drop(r->id);
     draining_[bank.bank] = kInvalidRow;
-    LD_ASSERT(draining_count_ > 0);
-    --draining_count_;
+    draining_banks_ &= ~(std::uint64_t{1} << bank.bank);
   }
 
   // 1. Row-buffer hits are served immediately (never delayed). The
@@ -48,10 +48,10 @@ Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
         // Close the stall only if it belongs to this hit: a different
         // stalled request (the bank's gated miss candidate) stays gated
         // while hits stream past it, so its interval must stay open.
-        if (stalled_[bank.bank] == hit->id) trace_stall_end(bank.bank, now);
+        if (stalled_[bank.bank] == hit->id) close_stall(bank.bank, now);
         return Decision::serve(hit->id);
       }
-      trace_stall_begin(bank.bank, hit->id, now, hit_delay);
+      open_stall(bank.bank, hit->id, now, hit_delay);
       // The gate flips exactly at enqueue + delay; until then (and absent
       // queue/delay changes) this answer cannot change.
       return Decision::gated(hit->enqueue_cycle + hit_delay);
@@ -61,17 +61,17 @@ Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
   // 2. Oldest request for this bank is the row-miss candidate.
   const MemRequest* cand = queue.oldest_for_bank(bank.bank);
   if (cand == nullptr) {
-    trace_stall_end(bank.bank, now);
+    close_stall(bank.bank, now);
     return Decision::none();
   }
 
   const Cycle cand_delay = effective_delay(cand->tenant);
   if (spec_.dms_enabled && now - cand->enqueue_cycle < cand_delay) {
-    trace_stall_begin(bank.bank, cand->id, now, cand_delay);
+    open_stall(bank.bank, cand->id, now, cand_delay);
     // Age gate: kNone is stable until the candidate reaches enqueue + delay.
     return Decision::gated(cand->enqueue_cycle + cand_delay);
   }
-  trace_stall_end(bank.bank, now);
+  close_stall(bank.bank, now);
 
   // 3. AMS drop decision (criteria 1, 3, 4; criterion 2 was the age gate).
   if (spec_.ams_enabled && ams_.should_drop(queue, *cand)) return Decision::drop(cand->id);
@@ -95,9 +95,8 @@ void LazyScheduler::tick(Cycle now, std::uint64_t bus_busy_total) {
   th_rbl_sum_ += static_cast<double>(spec_.ams_enabled ? ams_.th_rbl() : 0);
 }
 
-bool LazyScheduler::may_drop() const {
-  if (!spec_.ams_enabled) return false;
-  return draining_count_ > 0 || ams_.may_drop();
+DropState LazyScheduler::drop_state() const {
+  return {spec_.ams_enabled && (draining_banks_ != 0 || ams_.may_drop()), draining_banks_};
 }
 
 void LazyScheduler::on_enqueue(const MemRequest& req) {
@@ -108,17 +107,17 @@ void LazyScheduler::on_serve(const MemRequest& req) {
   // A stalled request can be served without another decide() on its bank
   // (e.g. it becomes a row hit after a drain re-opens its row); close the
   // stall here so the trace never leaks an open interval.
-  if (stalled_[req.loc.bank] == req.id) trace_stall_end(req.loc.bank, trace_now_);
+  if (stalled_[req.loc.bank] == req.id) close_stall(req.loc.bank, trace_now_);
 }
 
 void LazyScheduler::on_drop(const MemRequest& req) {
   // The drain branch of decide() drops without touching the stall state, so
   // a stalled request swallowed by a row-group drop is closed out here.
-  if (stalled_[req.loc.bank] == req.id) trace_stall_end(req.loc.bank, trace_now_);
+  if (stalled_[req.loc.bank] == req.id) close_stall(req.loc.bank, trace_now_);
   ams_.on_drop(req.tenant);
   if (draining_[req.loc.bank] == kInvalidRow) {
     draining_[req.loc.bank] = req.loc.row;
-    ++draining_count_;
+    draining_banks_ |= std::uint64_t{1} << req.loc.bank;
   }
   LD_ASSERT_MSG(draining_[req.loc.bank] == req.loc.row,
                 "a bank can only drain one row group at a time");
@@ -139,49 +138,42 @@ void LazyScheduler::set_telemetry(telemetry::Tracer* tracer, ChannelId channel) 
   ams_.set_telemetry(tracer, channel);
 }
 
-void LazyScheduler::trace_stall_begin(BankId bank, RequestId req, Cycle now, Cycle delay) {
-  if (!observing() || stalled_[bank] == req) return;
+void LazyScheduler::open_stall(BankId bank, RequestId req, Cycle now, Cycle delay) {
+  if (stalled_[bank] == req) return;
   // The bank's gated candidate can switch identity while the old one is
   // still queued (a gated row hit overtakes a gated miss candidate, or —
   // with per-tenant delay caps — tenants with different effective delays
   // alternate). Close the previous request's interval at `now` before
-  // opening the new one, so stall_begin_/stall_accounted_ always describe
-  // the request in stalled_; silently keeping the old interval open would
-  // attribute the new request's gated cycles to the old id.
-  if (stalled_[bank] != kNoStall) trace_stall_end(bank, now);
+  // opening the new one, so stall_begin_ always describes the request in
+  // stalled_; silently keeping the old interval open would attribute the new
+  // request's gated cycles to the old id.
+  if (stalled_[bank] != kNoStall) close_stall(bank, now);
   stalled_[bank] = req;
   stall_begin_[bank] = now;
-  stall_accounted_[bank] = now;
   if (tracer_ != nullptr && tracer_->enabled())
     tracer_->dms_stall_begin(now, channel_, bank, req, delay);
 }
 
-void LazyScheduler::trace_stall_end(BankId bank, Cycle now) {
+void LazyScheduler::close_stall(BankId bank, Cycle now) {
   if (stalled_[bank] == kNoStall) return;
   const RequestId req = stalled_[bank];
   stalled_[bank] = kNoStall;
-  bank_stall_cycles_[bank] += now - stall_accounted_[bank];
+  bank_stall_cycles_[bank] += now - stall_begin_[bank];
   if (tracer_ != nullptr && tracer_->enabled()) tracer_->dms_stall_end(now, channel_, bank);
   if (lifecycle_ != nullptr && now > stall_begin_[bank])
     lifecycle_->on_gate_end(req, stall_begin_[bank], now);
 }
 
-void LazyScheduler::harvest_bank_stalls(Cycle end, std::vector<std::uint64_t>& cum) {
-  // Rebase open stalls so the per-window deltas telescope: the accounted
-  // tail moves to `end` here, while stall_begin_ (the lifecycle interval's
-  // true start) is untouched. Observational bookkeeping only.
-  for (BankId b = 0; b < stalled_.size(); ++b) {
-    if (stalled_[b] != kNoStall && end > stall_accounted_[b]) {
-      bank_stall_cycles_[b] += end - stall_accounted_[b];
-      stall_accounted_[b] = end;
-    }
-    cum[b] += bank_stall_cycles_[b];
-  }
-}
-
-void LazyScheduler::fill_probe(telemetry::WindowProbe& probe) const {
+void LazyScheduler::fill_probe(telemetry::WindowProbe& probe, Cycle now,
+                               std::vector<std::uint64_t>* bank_stalls) const {
   probe.dms_delay = spec_.dms_enabled ? dms_.current_delay() : 0;
   probe.th_rbl = spec_.ams_enabled ? ams_.th_rbl() : 0;
+  if (bank_stalls == nullptr) return;
+  for (BankId b = 0; b < stalled_.size(); ++b) {
+    (*bank_stalls)[b] += bank_stall_cycles_[b];
+    if (stalled_[b] != kNoStall && now > stall_begin_[b])
+      (*bank_stalls)[b] += now - stall_begin_[b];
+  }
 }
 
 void LazyScheduler::register_stats(telemetry::TelemetryHub& hub,

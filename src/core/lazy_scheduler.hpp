@@ -38,10 +38,8 @@ class LazyScheduler : public Scheduler {
 
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
   void tick(Cycle now, std::uint64_t bus_busy_total) override;
-  bool may_drop() const override;
-  bool drops_possible() const override { return spec_.ams_enabled; }
-  bool bank_draining(BankId bank) const override { return draining_[bank] != kInvalidRow; }
-  bool draining() const override { return draining_count_ > 0; }
+  SchedulerTraits traits() const override { return {.can_drop = spec_.ams_enabled}; }
+  DropState drop_state() const override;
   void on_enqueue(const MemRequest& req) override;
   void on_serve(const MemRequest& req) override;
   void on_drop(const MemRequest& req) override;
@@ -67,10 +65,9 @@ class LazyScheduler : public Scheduler {
   /// (nullable to detach). Observational only, like set_telemetry.
   void set_lifecycle(telemetry::LifecycleCollector* lifecycle) { lifecycle_ = lifecycle; }
 
-  void fill_probe(telemetry::WindowProbe& probe) const override;
+  void fill_probe(telemetry::WindowProbe& probe, Cycle now,
+                  std::vector<std::uint64_t>* bank_stalls) const override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
-  void enable_bank_stall_tracking() override { bank_stats_ = true; }
-  void harvest_bank_stalls(Cycle end, std::vector<std::uint64_t>& cum) override;
 
   const SchemeSpec& spec() const { return spec_; }
   const DmsUnit& dms() const { return dms_; }
@@ -86,8 +83,8 @@ class LazyScheduler : public Scheduler {
   }
 
  private:
-  void trace_stall_begin(BankId bank, RequestId req, Cycle now, Cycle delay);
-  void trace_stall_end(BankId bank, Cycle now);
+  void open_stall(BankId bank, RequestId req, Cycle now, Cycle delay);
+  void close_stall(BankId bank, Cycle now);
 
   /// DMS delay applied to `tenant`'s requests: the global (possibly
   /// dynamic) delay clamped to the tenant's cap when tenancy is configured.
@@ -96,13 +93,6 @@ class LazyScheduler : public Scheduler {
     if (tenant < delay_caps_.size() && delay_caps_[tenant] < d)
       return delay_caps_[tenant];
     return d;
-  }
-
-  /// True when any observability consumer (event tracer, lifecycle
-  /// collector, per-bank window stats) wants stall intervals tracked.
-  bool observing() const {
-    return (tracer_ != nullptr && tracer_->enabled()) || lifecycle_ != nullptr ||
-           bank_stats_;
   }
 
   SchemeSpec spec_;
@@ -116,8 +106,9 @@ class LazyScheduler : public Scheduler {
   /// Per-bank row currently being drained by an AMS group drop
   /// (kInvalidRow if none). Cleared lazily from decide(), which is
   /// idempotent and thus unobservable across repeated calls.
-  mutable std::vector<RowId> draining_;
-  mutable unsigned draining_count_ = 0;
+  std::vector<RowId> draining_;
+  /// Bit b set iff draining_[b] != kInvalidRow (DropState::draining_banks).
+  std::uint64_t draining_banks_ = 0;
 
   /// Bus cycles one 128B transaction occupies (tBURST); used to credit
   /// dropped requests in the Dyn-DMS BWUTIL comparison.
@@ -130,24 +121,18 @@ class LazyScheduler : public Scheduler {
   telemetry::Tracer* tracer_ = nullptr;
   ChannelId channel_ = 0;
   telemetry::LifecycleCollector* lifecycle_ = nullptr;
-  bool bank_stats_ = false;
   /// No-stall sentinel for `stalled_` (same all-ones pattern as the global
   /// invalid-request sentinel).
   static constexpr RequestId kNoStall = kInvalidRequest;
   /// Per-bank id of the currently age-gated request (kNoStall if none), for
   /// stall begin/end events. Tracking the id — not just a flag — lets
   /// on_serve/on_drop close a stall whose request leaves the queue without a
-  /// further decide() on its bank. Only touched when observing(); never
-  /// consulted for decisions.
+  /// further decide() on its bank. Never consulted for decisions.
   std::vector<RequestId> stalled_;
-  /// Cycle the open stall of each bank began (lifecycle gate intervals).
+  /// Cycle the open stall of each bank began.
   std::vector<Cycle> stall_begin_;
-  /// Start of the open stall's not-yet-accounted tail. Identical to
-  /// stall_begin_ except after harvest_bank_stalls() rebases it at a window
-  /// boundary, so bank_stall_cycles_ telescopes across windows while the
-  /// lifecycle interval keeps its true begin.
-  std::vector<Cycle> stall_accounted_;
-  /// Cumulative per-bank DMS-stall cycles (the windowed bank probe).
+  /// Per-bank DMS-stall cycles of closed stall intervals; fill_probe adds
+  /// the open interval's elapsed part.
   std::vector<std::uint64_t> bank_stall_cycles_;
   /// Cycle of the most recent tick(); timestamps stall-end events emitted
   /// from on_serve/on_drop, which carry no cycle of their own.

@@ -63,7 +63,11 @@ void AutotuneScheduler::tick(Cycle now, std::uint64_t bus_busy_total) {
   window_end_ = now + window_;
 }
 
-void AutotuneScheduler::fill_probe(telemetry::WindowProbe& probe) const {
+void AutotuneScheduler::fill_probe(telemetry::WindowProbe& probe, Cycle now,
+                                   std::vector<std::uint64_t>* bank_stalls) const {
+  // Gated misses are not tracked as per-bank stall intervals here.
+  (void)now;
+  (void)bank_stalls;
   probe.dms_delay = delay_;
 }
 

@@ -22,7 +22,8 @@ class AutotuneScheduler : public Scheduler {
 
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
   void tick(Cycle now, std::uint64_t bus_busy_total) override;
-  void fill_probe(telemetry::WindowProbe& probe) const override;
+  void fill_probe(telemetry::WindowProbe& probe, Cycle now,
+                  std::vector<std::uint64_t>* bank_stalls) const override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
 
   Cycle delay() const { return delay_; }

@@ -24,7 +24,7 @@ class BatchRrScheduler : public Scheduler {
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
 
   /// The rotation rule deliberately closes a capped row with hits pending.
-  bool hit_first() const override { return false; }
+  SchedulerTraits traits() const override { return {.hit_first = false}; }
 
   std::uint64_t rotations() const { return rotations_; }
 

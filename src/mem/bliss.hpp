@@ -32,12 +32,12 @@ class BlissScheduler : public Scheduler {
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
 
   /// Blacklist ranking deliberately closes rows that still hold pending hits
-  /// from a blacklisted SM.
-  bool hit_first() const override { return false; }
-
-  /// A serve on any bank can blacklist an SM and reorder every other bank's
-  /// candidates, so per-bank decide() memos are unsound for this policy.
-  bool decide_memo_safe() const override { return false; }
+  /// from a blacklisted SM. A serve on any bank can blacklist an SM and
+  /// reorder every other bank's candidates, so per-bank decide() memos are
+  /// unsound for this policy.
+  SchedulerTraits traits() const override {
+    return {.hit_first = false, .memo_safe = false};
+  }
 
   bool blacklisted(SmId sm) const { return blacklist_[sm]; }
   std::uint64_t blacklist_events() const { return blacklist_events_; }

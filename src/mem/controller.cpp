@@ -31,8 +31,9 @@ MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
       bank_cols_(cfg.banks_per_channel, 0),
       bank_drops_(cfg.banks_per_channel, 0) {
   LD_ASSERT(scheduler_ != nullptr);
-  drops_possible_ = scheduler_->drops_possible();
-  memo_safe_ = scheduler_->decide_memo_safe();
+  const SchedulerTraits traits = scheduler_->traits();
+  can_drop_ = traits.can_drop;
+  memo_safe_ = traits.memo_safe;
 }
 
 void MemoryController::enqueue(MemRequest req, Cycle now_mem) {
@@ -158,6 +159,10 @@ void MemoryController::issue_one_command(Cycle now) {
   // and tick() skips it outright (cmd_wake_).
   bool all_blocked = true;
   Cycle min_wake = kNeverCycle;
+  // Read once per pass: only decide() on bank b clears b's drain bit, and it
+  // runs after b's skip check below; nothing in this pass sets a bit.
+  const std::uint64_t draining =
+      fast_path_ && can_drop_ ? scheduler_->drop_state().draining_banks : 0;
   for (unsigned i = 0; i < num_banks_; ++i) {
     BankId b = rr_bank_ + i;
     if (b >= num_banks_) b -= num_banks_;
@@ -175,7 +180,7 @@ void MemoryController::issue_one_command(Cycle now) {
     // apply here.
     if (fast_path_) {
       const bool empty = queue_.bank_size(b) == 0;
-      if (empty && !scheduler_->bank_draining(b)) {
+      if (empty && (draining >> b & 1) == 0) {
         if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
           return;
         continue;
@@ -272,7 +277,7 @@ void MemoryController::tick(Cycle now_mem) {
   // fast path's delay-change edge detection.
   telemetry::WindowProbe probe;
   if (fast_path_ || recorder_ != nullptr || sampler_ != nullptr)
-    scheduler_->fill_probe(probe);
+    scheduler_->fill_probe(probe, now_mem, nullptr);
   if (recorder_ != nullptr) recorder_->on_delay(now_mem, probe.dms_delay);
 
   // The none_until horizons assumed a constant DMS delay; drop them all on
@@ -293,10 +298,10 @@ void MemoryController::tick(Cycle now_mem) {
   // drop or advance, and under open-row policy no command to issue at all —
   // the whole per-bank machinery is skipped. The one empty-queue case with
   // drop-pass work is an active drain awaiting lazy retirement (the pass
-  // must keep visiting that bank), hence draining(), not may_drop(): budget
-  // headroom alone gives the pass nothing to visit.
+  // must keep visiting that bank), hence draining_banks, not may_drop:
+  // budget headroom alone gives the pass nothing to visit.
   const bool idle_cycle = fast_path_ && queue_.empty() &&
-                          !(drops_possible_ && scheduler_->draining()) &&
+                          !(can_drop_ && scheduler_->drop_state().draining_banks != 0) &&
                           row_policy_ == RowPolicy::kOpenRow;
   if (!idle_cycle) {
     // At most one AMS drop per cycle ("dropped sequentially in the following
@@ -312,15 +317,16 @@ void MemoryController::tick(Cycle now_mem) {
     // then, so its time-varying state (coverage, Th_RBL, halted) cannot
     // matter. Never set while a drain is active (a draining bank decides
     // kDrop and clears the wake on execution) or after an early exit.
-    if (drops_possible_ && now_mem >= drop_wake_) {
+    if (can_drop_ && now_mem >= drop_wake_) {
       bool all_gated = true;
       Cycle min_wake = kNeverCycle;
       bool dropped_one = false;
+      DropState ds = scheduler_->drop_state();
       unsigned i = 0;
-      for (; scheduler_->may_drop() && i < num_banks_; ++i) {
+      for (; ds.may_drop && i < num_banks_; ++i) {
         BankId b = drop_rr_bank_ + i;
         if (b >= num_banks_) b -= num_banks_;
-        if (fast_path_ && queue_.bank_size(b) == 0 && !scheduler_->bank_draining(b))
+        if (fast_path_ && queue_.bank_size(b) == 0 && (ds.draining_banks >> b & 1) == 0)
           continue;  // Nothing to drop and no drain state to retire.
         if (fast_path_ && row_policy_ == RowPolicy::kOpenRow &&
             now_mem < bank_none_until_[b]) {
@@ -330,6 +336,8 @@ void MemoryController::tick(Cycle now_mem) {
         const dram::Bank& bank = dram_.bank(b);
         const BankView view{b, bank.row_open(), bank.open_row()};
         const Decision d = scheduler_->decide(queue_, view, now_mem);
+        // decide() may have retired a drain, which can end may_drop.
+        ds = scheduler_->drop_state();
         LD_ASSERT_MSG(
             d.action != Decision::Action::kNone || d.req_id == kInvalidRequest,
             "kNone decision carries a request id (use none()/gated())");
@@ -438,12 +446,14 @@ void MemoryController::attach_tenant_probe() {
 void MemoryController::enable_window_sampling(Cycle window, telemetry::Tracer* tracer) {
   sampler_ = std::make_unique<telemetry::WindowSampler>(id_, window, tracer);
   sampler_->set_power_scale(watts_per_nj_per_cycle_);
-  scheduler_->enable_bank_stall_tracking();
   stall_scratch_.assign(num_banks_, 0);
   sampler_->set_bank_probe(
       num_banks_, [this](Cycle end, std::vector<telemetry::BankProbe>& out) {
         std::fill(stall_scratch_.begin(), stall_scratch_.end(), std::uint64_t{0});
-        scheduler_->harvest_bank_stalls(end, stall_scratch_);
+        // The gauges went to the sampler with the cycle's probe; only the
+        // per-bank stalls are wanted here.
+        telemetry::WindowProbe gauges;
+        scheduler_->fill_probe(gauges, end, &stall_scratch_);
         const dram::PowerAccountant* pw = dram_.power();
         for (unsigned b = 0; b < num_banks_; ++b) {
           out[b].activations = bank_acts_[b];
@@ -486,7 +496,7 @@ void MemoryController::fill_channel_counters(telemetry::WindowProbe& p,
 telemetry::WindowProbe MemoryController::telemetry_probe(Cycle now) const {
   telemetry::WindowProbe p;
   fill_channel_counters(p, now);
-  scheduler_->fill_probe(p);
+  scheduler_->fill_probe(p, now, nullptr);
   return p;
 }
 

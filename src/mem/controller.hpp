@@ -196,13 +196,13 @@ class MemoryController {
   double watts_per_nj_per_cycle_;
   /// Schedulability fast paths enabled (GpuConfig::fast_path).
   bool fast_path_;
-  /// Cached Scheduler::drops_possible(): non-AMS schemes never run the drop
-  /// pass, not even the may_drop() poll.
-  bool drops_possible_;
-  /// Cached Scheduler::decide_memo_safe(): policies with cross-bank coupling
-  /// (BLISS) run with the per-bank retry/none_until memos disabled — only
-  /// the unconditionally safe fast paths (empty-bank skip, idle
-  /// short-circuit) remain for them.
+  /// SchedulerTraits::can_drop: non-AMS schemes never run the drop pass and
+  /// never ask for the scheduler's drop state.
+  bool can_drop_;
+  /// SchedulerTraits::memo_safe: policies with cross-bank coupling (BLISS)
+  /// run with the per-bank retry/none_until memos disabled — only the
+  /// unconditionally safe fast paths (empty-bank skip, idle short-circuit)
+  /// remain for them.
   bool memo_safe_;
   /// Per-bank retry memo: the command pass skips a bank until this cycle
   /// after its chosen command failed legality (earliest_issue lower bound).

@@ -13,7 +13,7 @@ class FcfsScheduler : public Scheduler {
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
 
   /// Strict age order closes an open row even while hits for it pend.
-  bool hit_first() const override { return false; }
+  SchedulerTraits traits() const override { return {.hit_first = false}; }
 };
 
 }  // namespace lazydram

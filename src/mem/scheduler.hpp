@@ -52,6 +52,40 @@ struct Decision {
   static Decision drop(RequestId id) { return {Action::kDrop, id}; }
 };
 
+/// Constant facts about a policy, read once by the controller (and by the
+/// protocol checker's configuration) at construction.
+struct SchedulerTraits {
+  /// Can the policy ever answer kDrop? When false the controller never runs
+  /// the drop pass and never asks for drop_state().
+  bool can_drop = false;
+  /// True iff the policy never issues a PRE on a bank that still holds
+  /// pending row hits for the open row. The strict protocol checker enforces
+  /// hit-first ordering only when this holds; policies that deliberately
+  /// close rows with hits outstanding (FCFS's strict age order, BLISS's
+  /// blacklist ranking, batch-cap RR's rotation) set it false.
+  bool hit_first = true;
+  /// True iff a decide(queue, bank, now) answer can only change when that
+  /// bank's pending set changes, the policy's delay knobs change, or its
+  /// none_until horizon expires. The controller's retry/none_until memo
+  /// layer is sound exactly under that assumption; policies with cross-bank
+  /// coupling (BLISS: a serve on bank A can blacklist an SM and reorder bank
+  /// B's candidates) set it false and run with memos disabled.
+  bool memo_safe = true;
+};
+
+/// Per-cycle drop state of a policy whose traits().can_drop holds.
+struct DropState {
+  /// Can decide() answer kDrop right now? The drop pass stops as soon as
+  /// this turns false.
+  bool may_drop = false;
+  /// Bit b set iff an AMS row-group drop is draining on bank b. The drop and
+  /// command passes keep visiting a draining bank even when its pending
+  /// queue ran dry, so decide() can retire the drain; with no bit set and
+  /// nothing queued the drop pass has no bank to visit. Only on_drop() sets
+  /// bank b's bit and only decide() on bank b clears it.
+  std::uint64_t draining_banks = 0;
+};
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -64,50 +98,11 @@ class Scheduler {
   /// every cycle for every bank.
   virtual Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) = 0;
 
-  /// Cheap pre-check: can this policy ever answer kDrop right now? The
-  /// controller skips the per-bank drop pass entirely when false, keeping
-  /// the non-AMS schemes on the fast path.
-  virtual bool may_drop() const { return false; }
+  /// Capabilities; must be constant over the scheduler's lifetime.
+  virtual SchedulerTraits traits() const { return {}; }
 
-  /// Static capability: can this policy ever answer kDrop at all? Must be
-  /// constant over the scheduler's lifetime (a configuration fact, not a
-  /// state query — may_drop() answers the per-cycle question). The
-  /// controller caches it once and never even polls may_drop() when false.
-  virtual bool drops_possible() const { return false; }
-
-  /// Row-hit-first capability: true iff the policy never issues a PRE on a
-  /// bank that still holds pending row hits for the open row. The strict
-  /// protocol checker enforces hit-first ordering only when this holds;
-  /// policies that deliberately close rows with hits outstanding (FCFS's
-  /// strict age order, BLISS's blacklist ranking, batch-cap RR's rotation)
-  /// return false. Constant over the scheduler's lifetime.
-  virtual bool hit_first() const { return true; }
-
-  /// Memoization capability: true iff a decide(queue, bank, now) answer can
-  /// only change when that bank's pending set changes, the policy's delay
-  /// knobs change, or its none_until horizon expires. The controller's
-  /// retry/none_until memo layer is sound exactly under that assumption;
-  /// policies with cross-bank coupling (BLISS: a serve on bank A can
-  /// blacklist an SM and reorder bank B's candidates) return false and run
-  /// with memos disabled. Constant over the scheduler's lifetime.
-  virtual bool decide_memo_safe() const { return true; }
-
-  /// True iff an AMS row-group drop is draining on `bank`. The controller's
-  /// drop pass must keep visiting a draining bank even when its pending
-  /// queue ran dry, so the policy can retire the drain state; banks that are
-  /// neither draining nor holding pending work are skipped.
-  virtual bool bank_draining(BankId bank) const {
-    (void)bank;
-    return false;
-  }
-
-  /// True iff any bank has an active drain awaiting lazy retirement. This is
-  /// the only condition under which the drop pass has work with an *empty*
-  /// pending queue: may_drop() also answers true on mere budget headroom
-  /// (coverage below cap), but with nothing queued and nothing draining the
-  /// pass provably visits no bank and mutates nothing — the controller's
-  /// idle short-circuit keys off this instead.
-  virtual bool draining() const { return false; }
+  /// Current drop state; only consulted when traits().can_drop holds.
+  virtual DropState drop_state() const { return {}; }
 
   /// Called once per memory cycle before any decide(); `bus_busy_total` is
   /// the channel's cumulative data-bus busy cycle count (BWUTIL numerator).
@@ -126,8 +121,15 @@ class Scheduler {
   virtual void on_drop(const MemRequest& req) { (void)req; }
 
   /// Contributes policy-side gauges (DMS delay, Th_RBL, ...) to a windowed
-  /// telemetry probe. Plain policies have nothing to add.
-  virtual void fill_probe(telemetry::WindowProbe& probe) const { (void)probe; }
+  /// telemetry probe. When `bank_stalls` is non-null (pre-zeroed, sized to
+  /// the bank count) also adds each bank's cumulative DMS-stall cycles as of
+  /// memory cycle `now`. Plain policies have nothing to add.
+  virtual void fill_probe(telemetry::WindowProbe& probe, Cycle now,
+                          std::vector<std::uint64_t>* bank_stalls) const {
+    (void)probe;
+    (void)now;
+    (void)bank_stalls;
+  }
 
   /// Registers policy-owned stats (counters/gauges reading this scheduler's
   /// internal state) with the stat registry under `prefix` (e.g. "core.ch0.").
@@ -136,21 +138,6 @@ class Scheduler {
   virtual void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const {
     (void)hub;
     (void)prefix;
-  }
-
-  /// Asks the policy to start accumulating per-bank observability counters
-  /// (DMS stall cycles) for the windowed bank probe. Policies without
-  /// bank-level state ignore it.
-  virtual void enable_bank_stall_tracking() {}
-
-  /// Adds the policy's cumulative per-bank DMS-stall cycles as of memory
-  /// cycle `end` into `cum` (pre-zeroed, sized to the bank count). The
-  /// default policy has no stalls and leaves the zeros. Observational only:
-  /// implementations may rebase internal bookkeeping but must never let this
-  /// affect scheduling decisions.
-  virtual void harvest_bank_stalls(Cycle end, std::vector<std::uint64_t>& cum) {
-    (void)end;
-    (void)cum;
   }
 };
 

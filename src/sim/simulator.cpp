@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "check/context.hpp"
 #include "common/assert.hpp"
@@ -19,52 +21,47 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+/// Reads an on|off|1|0 switch from environment variable `name` into `value`.
+/// An unset variable leaves `value` alone; any other text warns and is
+/// ignored.
+void read_env_switch(const char* name, bool& value) {
+  const std::string text = telemetry::env_string(name);
+  if (text.empty()) return;
+  if (text == "off" || text == "0")
+    value = false;
+  else if (text == "on" || text == "1")
+    value = true;
+  else
+    log_warn("%s='%s' not recognized (want on|off|1|0); ignored", name, text.c_str());
+}
+
 }  // namespace
 
+void apply_env_switches(GpuConfig& cfg) {
+  read_env_switch("LAZYDRAM_FAST", cfg.fast_path);
+  read_env_switch("LAZYDRAM_POWER", cfg.power_accounting);
+}
+
 RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& config) {
+  // The GPU runs one wave of resident warps; a grid that does not fit is a
+  // bad request, not a simulator fault.
+  const unsigned warps = workload.num_warps();
+  const unsigned slots = config.gpu.num_sms * config.gpu.max_warps_per_sm;
+  if (warps > slots)
+    throw std::invalid_argument(
+        "workload needs " + std::to_string(warps) + " warps but the GPU holds " +
+        std::to_string(slots) + " resident warps (num_sms x max_warps_per_sm)");
+
   log_level();  // Resolve LAZYDRAM_LOG up front so a typo in it warns even
                 // if the run never logs.
   GpuConfig cfg = config.gpu;
-
-  // A/B knob for the controller's schedulability fast paths: the diffcheck
-  // equivalence matrix and perf triage compare LAZYDRAM_FAST=off runs
-  // against the (default-on) optimized ones.
-  if (const std::string fast = telemetry::env_string("LAZYDRAM_FAST"); !fast.empty()) {
-    if (fast == "off" || fast == "0")
-      cfg.fast_path = false;
-    else if (fast == "on" || fast == "1")
-      cfg.fast_path = true;
-    else
-      log_warn("LAZYDRAM_FAST='%s' not recognized (want on|off|1|0); ignored",
-               fast.c_str());
-  }
-
-  // A/B knob for the state-based power accountant (default on). Strictly
-  // passive — results are bit-identical either way; off removes the energy
-  // breakdown from every output and the O(1)-per-command bookkeeping.
-  if (const std::string pw = telemetry::env_string("LAZYDRAM_POWER"); !pw.empty()) {
-    if (pw == "off" || pw == "0")
-      cfg.power_accounting = false;
-    else if (pw == "on" || pw == "1")
-      cfg.power_accounting = true;
-    else
-      log_warn("LAZYDRAM_POWER='%s' not recognized (want on|off|1|0); ignored",
-               pw.c_str());
-  }
+  apply_env_switches(cfg);
 
   // Self-observability knobs. The profiler arm switch is process-global and
   // sticky: a run that wants it only ever turns it ON (a concurrent sweep
   // sibling may still be profiling), so per-run A/B toggling is left to
   // harnesses that own the whole process (bench_micro --perf).
-  if (!cfg.self_profile) {
-    if (const std::string sp = telemetry::env_string("LAZYDRAM_SELFPROF"); !sp.empty()) {
-      if (sp == "on" || sp == "1")
-        cfg.self_profile = true;
-      else if (sp != "off" && sp != "0")
-        log_warn("LAZYDRAM_SELFPROF='%s' not recognized (want on|off|1|0); ignored",
-                 sp.c_str());
-    }
-  }
+  if (!cfg.self_profile) read_env_switch("LAZYDRAM_SELFPROF", cfg.self_profile);
   if (cfg.self_profile) telemetry::SelfProfiler::set_enabled(true);
   if (cfg.heartbeat_seconds <= 0.0) {
     if (const std::string hb = telemetry::env_string("LAZYDRAM_HEARTBEAT"); !hb.empty()) {
@@ -78,21 +75,10 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
     }
   }
 
-  // Resolve the scheduler policy, most explicit first: a non-default
-  // RunConfig::policy (legacy PolicyKind), then a configured
+  // Resolve the scheduler policy, most explicit first: a configured
   // GpuConfig::policy.name, then $LAZYDRAM_POLICY, else "lazy". All paths
   // construct via the SchedulerRegistry — the one construction seam the
   // golden-model diff harness shares (see src/core/scheduler_registry.hpp).
-  switch (config.policy) {
-    case PolicyKind::kLazy:
-      break;  // Keep whatever cfg.policy.name says (usually empty = lazy).
-    case PolicyKind::kFrFcfs:
-      cfg.policy.name = "frfcfs";
-      break;
-    case PolicyKind::kFcfs:
-      cfg.policy.name = "fcfs";
-      break;
-  }
   if (cfg.policy.name.empty()) {
     if (const std::string pol = telemetry::env_string("LAZYDRAM_POLICY"); !pol.empty()) {
       std::string error;

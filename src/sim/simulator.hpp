@@ -15,17 +15,10 @@
 
 namespace lazydram::sim {
 
-/// Which scheduler runs in each memory controller.
-enum class PolicyKind {
-  kLazy,    ///< core::LazyScheduler configured by a SchemeSpec (the default).
-  kFrFcfs,  ///< Plain FR-FCFS (identical to kLazy with everything disabled).
-  kFcfs,    ///< In-order FCFS (ablation baseline).
-};
-
 struct RunConfig {
   GpuConfig gpu{};                       ///< Table I defaults.
-  core::SchemeSpec spec{};               ///< Used when policy == kLazy.
-  PolicyKind policy = PolicyKind::kLazy;
+  /// Configures the lazy policy (gpu.policy.name empty or "lazy").
+  core::SchemeSpec spec{};
   RowPolicy row_policy = RowPolicy::kOpenRow;
   bool compute_error = true;
   Cycle max_core_cycles = 200'000'000;
@@ -66,9 +59,16 @@ struct RunConfig {
   Cycle check_age_bound = 0;
 };
 
+/// Applies the $LAZYDRAM_FAST (GpuConfig::fast_path) and $LAZYDRAM_POWER
+/// (GpuConfig::power_accounting) A/B switches, each on|off|1|0, to `cfg`;
+/// an unrecognized value warns and is ignored. simulate() applies them, and
+/// harnesses that build their own controllers call this to honor them too.
+void apply_env_switches(GpuConfig& cfg);
+
 /// Runs `workload` under `config` to completion and returns the metrics.
 /// Honors the telemetry settings (trace / JSON report / env overrides) but
-/// discards the in-memory telemetry results.
+/// discards the in-memory telemetry results. Throws std::invalid_argument
+/// when the workload has more warps than the GPU holds resident.
 RunMetrics simulate(const workloads::Workload& workload, const RunConfig& config);
 
 /// simulate() plus the run's telemetry: per-channel window series, final

@@ -33,7 +33,7 @@ namespace lazydram::workloads {
 /// One client of a multi-tenant run (also the parsed form of the bench's
 /// tenant spec grammar, see gpu::parse_tenant_specs).
 struct MixTenant {
-  std::string name;                  ///< Display name; defaults to the kernel list.
+  std::string name{};                ///< Display name; defaults to the kernel list.
   std::vector<std::string> kernels;  ///< Registered workload names (sequential phases).
   unsigned warps = 0;                ///< Warp budget; 0 = max over the kernels' grids.
   unsigned repeat = 1;               ///< Closed-loop iterations of the sequence.

@@ -8,13 +8,14 @@
 //     identical notification stream but double-called must never diverge
 //     from the single-called primary;
 //   * kNone answers carry the kInvalidRequest sentinel, never a live id;
-//   * none_until horizons are sound for decide_memo_safe() policies: the
+//   * none_until horizons are sound for traits().memo_safe policies: the
 //     answer stays kNone until the horizon unless the bank's pending set or
 //     the policy's delay/threshold knobs change;
-//   * may_drop()/drops_possible() are consistent with actual kDrop answers;
-//   * bank_draining() banks retire their drains (liveness), and the whole
-//     stream drains — the batch-cap RR PRE/ACT livelock regression lives
-//     here;
+//   * drop_state().may_drop and traits().can_drop are consistent with actual
+//     kDrop answers;
+//   * banks in drop_state().draining_banks retire their drains (liveness),
+//     and the whole stream drains — the batch-cap RR PRE/ACT livelock
+//     regression lives here;
 //   * the same seed reproduces the same decision log (determinism).
 #include <gtest/gtest.h>
 
@@ -101,10 +102,14 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
   const auto log = [&](std::uint64_t v) {
     log_hash = (log_hash ^ v) * 1099511628211ull;
   };
-  const bool memo_safe = primary->decide_memo_safe();
-  EXPECT_EQ(memo_safe, mirror->decide_memo_safe());
-  EXPECT_EQ(primary->hit_first(), mirror->hit_first());
-  EXPECT_EQ(primary->drops_possible(), mirror->drops_possible());
+  const SchedulerTraits traits = primary->traits();
+  const bool memo_safe = traits.memo_safe;
+  EXPECT_EQ(memo_safe, mirror->traits().memo_safe);
+  EXPECT_EQ(traits.hit_first, mirror->traits().hit_first);
+  EXPECT_EQ(traits.can_drop, mirror->traits().can_drop);
+  const auto draining_bank = [](const Scheduler& s, BankId b) {
+    return (s.drop_state().draining_banks >> b & 1) != 0;
+  };
 
   bool drained = false;
   for (Cycle now = 0; now < kMaxCycles; ++now) {
@@ -133,8 +138,8 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
     // Delay/threshold knob edges invalidate every none_until horizon, exactly
     // as the controller's memo layer does.
     telemetry::WindowProbe pp{}, mp{};
-    primary->fill_probe(pp);
-    mirror->fill_probe(mp);
+    primary->fill_probe(pp, now, nullptr);
+    mirror->fill_probe(mp, now, nullptr);
     EXPECT_EQ(pp.dms_delay, mp.dms_delay) << pc.name << " cycle " << now;
     EXPECT_EQ(pp.th_rbl, mp.th_rbl) << pc.name << " cycle " << now;
     if (pp.dms_delay != last_delay || pp.th_rbl != last_th_rbl) {
@@ -143,15 +148,15 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
       for (BankId b = 0; b < kBanks; ++b) horizon[b] = 0;
     }
 
-    EXPECT_EQ(primary->may_drop(), mirror->may_drop()) << pc.name;
-    if (primary->may_drop()) {
-      EXPECT_TRUE(primary->drops_possible()) << pc.name;
+    EXPECT_EQ(primary->drop_state().may_drop, mirror->drop_state().may_drop) << pc.name;
+    if (primary->drop_state().may_drop) {
+      EXPECT_TRUE(traits.can_drop) << pc.name;
     }
 
     for (BankId b = 0; b < kBanks; ++b) {
       if (busy_until[b] > now) continue;  // Command engine busy: no decide.
-      const bool draining = primary->bank_draining(b);
-      EXPECT_EQ(draining, mirror->bank_draining(b)) << pc.name;
+      const bool draining = draining_bank(*primary, b);
+      EXPECT_EQ(draining, draining_bank(*mirror, b)) << pc.name;
       // The controller skips banks with neither pending work nor a drain.
       if (queue.bank_size(b) == 0 && !draining) continue;
 
@@ -196,8 +201,8 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
           break;
         }
         case Decision::Action::kDrop: {
-          EXPECT_TRUE(primary->may_drop()) << pc.name;
-          EXPECT_TRUE(primary->drops_possible()) << pc.name;
+          EXPECT_TRUE(primary->drop_state().may_drop) << pc.name;
+          EXPECT_TRUE(traits.can_drop) << pc.name;
           const MemRequest* found = queue.find(d.req_id);
           EXPECT_NE(found, nullptr) << pc.name << ": dropped unknown id " << d.req_id;
           if (found == nullptr) return log_hash;
@@ -218,7 +223,7 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
 
     if (now >= kStreamCycles && queue.empty()) {
       bool any_draining = false;
-      for (BankId b = 0; b < kBanks; ++b) any_draining |= primary->bank_draining(b);
+      for (BankId b = 0; b < kBanks; ++b) any_draining |= draining_bank(*primary, b);
       if (!any_draining) {
         drained = true;
         break;

@@ -1,8 +1,8 @@
 // SchedulerRegistry tests: built-in policy catalog, capability flags of the
 // constructed schedulers, the policy-spec grammar, label resolution, and —
 // the regression for the old duplicated construction switches — equality of
-// every construction route (legacy PolicyKind, cfg.policy.name, and the
-// $LAZYDRAM_POLICY environment override) on a real workload.
+// every construction route (cfg.policy.name and the $LAZYDRAM_POLICY
+// environment override) on a real workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,8 +57,8 @@ TEST(SchedulerRegistry, LabelsMatchReportConventions) {
   EXPECT_EQ(core::policy_name(GpuConfig{}), "lazy");
 }
 
-// The capability flags the controller caches at construction are what make
-// the fast paths sound per policy; pin them per built-in.
+// The traits the controller reads at construction are what make the fast
+// paths sound per policy; pin them per built-in.
 TEST(SchedulerRegistry, ConstructedSchedulersReportExpectedCapabilities) {
   const core::SchemeSpec base;
   struct Expect {
@@ -71,9 +71,10 @@ TEST(SchedulerRegistry, ConstructedSchedulersReportExpectedCapabilities) {
                           Expect{"autotune", true, true}, Expect{"lazy", true, true}}) {
     const std::unique_ptr<Scheduler> s = core::make_scheduler(cfg_for(e.name), base);
     ASSERT_NE(s, nullptr) << e.name;
-    EXPECT_EQ(s->hit_first(), e.hit_first) << e.name;
-    EXPECT_EQ(s->decide_memo_safe(), e.memo_safe) << e.name;
-    EXPECT_FALSE(s->drops_possible()) << e.name;  // Only lazy+AMS can drop.
+    const SchedulerTraits t = s->traits();
+    EXPECT_EQ(t.hit_first, e.hit_first) << e.name;
+    EXPECT_EQ(t.memo_safe, e.memo_safe) << e.name;
+    EXPECT_FALSE(t.can_drop) << e.name;  // Only lazy+AMS can drop.
   }
   // Lazy resolves to the LazyScheduler (scheme configured by the spec).
   const std::unique_ptr<Scheduler> lazy = core::make_scheduler(GpuConfig{}, base);
@@ -134,10 +135,9 @@ TEST(PolicySpec, RejectsBadSpecsWithoutTouchingConfig) {
   }
 }
 
-// The regression behind this PR: the legacy PolicyKind switch, the config
-// name, and the environment override previously lived in separately
-// hand-rolled construction code; all three routes must now build the exact
-// same scheduler and produce bit-identical runs.
+// The config name and the environment override once lived in separately
+// hand-rolled construction code; both routes must build the exact same
+// scheduler and produce bit-identical runs.
 TEST(SchedulerRegistry, AllConstructionRoutesAgree) {
   const auto wl = workloads::make_workload("SCP");
   ASSERT_NE(wl, nullptr);
@@ -147,26 +147,22 @@ TEST(SchedulerRegistry, AllConstructionRoutesAgree) {
     return sim::simulate(*wl, rc);
   };
 
-  sim::RunConfig via_kind;
-  via_kind.policy = sim::PolicyKind::kFcfs;
   sim::RunConfig via_name;
   via_name.gpu.policy.name = "fcfs";
-  const sim::RunMetrics a = run(via_kind);
-  const sim::RunMetrics b = run(via_name);
+  const sim::RunMetrics a = run(via_name);
 
   ASSERT_EQ(::setenv("LAZYDRAM_POLICY", "fcfs", 1), 0);
-  const sim::RunMetrics c = run(sim::RunConfig{});  // Name empty: env applies.
+  const sim::RunMetrics b = run(sim::RunConfig{});  // Name empty: env applies.
   ASSERT_EQ(::unsetenv("LAZYDRAM_POLICY"), 0);
 
-  for (const sim::RunMetrics* m : {&b, &c}) {
-    EXPECT_EQ(m->scheme, "FCFS");
-    EXPECT_EQ(m->core_cycles, a.core_cycles);
-    EXPECT_EQ(m->mem_cycles, a.mem_cycles);
-    EXPECT_EQ(m->instructions, a.instructions);
-    EXPECT_EQ(m->activations, a.activations);
-    EXPECT_EQ(m->dram_reads, a.dram_reads);
-    EXPECT_EQ(m->dram_writes, a.dram_writes);
-  }
+  EXPECT_EQ(a.scheme, "FCFS");
+  EXPECT_EQ(b.scheme, "FCFS");
+  EXPECT_EQ(b.core_cycles, a.core_cycles);
+  EXPECT_EQ(b.mem_cycles, a.mem_cycles);
+  EXPECT_EQ(b.instructions, a.instructions);
+  EXPECT_EQ(b.activations, a.activations);
+  EXPECT_EQ(b.dram_reads, a.dram_reads);
+  EXPECT_EQ(b.dram_writes, a.dram_writes);
 }
 
 TEST(SchedulerRegistry, ExplicitConfigNameBeatsEnvironment) {

@@ -275,7 +275,7 @@ TEST_F(SchedulerTest, AmsNeverDropsBeforeL2Warmup) {
   lazy.on_enqueue(r);
   EXPECT_EQ(lazy.decide(queue_, BankView{0, false, kInvalidRow}, 100).action,
             Decision::Action::kServe);
-  EXPECT_FALSE(lazy.may_drop());
+  EXPECT_FALSE(lazy.drop_state().may_drop);
 }
 
 TEST_F(SchedulerTest, AmsRespectsThRblThreshold) {

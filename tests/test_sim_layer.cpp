@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,6 +130,24 @@ TEST(Simulator, FastPathOffMatchesFastPathOn) {
     EXPECT_DOUBLE_EQ(a.avg_th_rbl, b.avg_th_rbl);
     EXPECT_DOUBLE_EQ(a.bwutil, b.bwutil);
   }
+}
+
+// A grid larger than one wave of resident warps is a bad request: the sim::
+// entry rejects it before a GPU is built, so no assert fires and no flight
+// dump is left behind.
+TEST(Simulator, OversizedGridIsRejectedUpFront) {
+  const std::string dump_path = ::testing::TempDir() + "oversized_grid_flight.json";
+  std::remove(dump_path.c_str());
+  ASSERT_EQ(::setenv("LAZYDRAM_FLIGHT_DUMP", dump_path.c_str(), 1), 0);
+  const auto wl = workloads::make_workload("SCP");
+  ASSERT_NE(wl, nullptr);
+  sim::RunConfig rc;
+  rc.gpu.num_sms = 4;
+  rc.compute_error = false;
+  ASSERT_GT(wl->num_warps(), rc.gpu.num_sms * rc.gpu.max_warps_per_sm);
+  EXPECT_THROW(sim::simulate(*wl, rc), std::invalid_argument);
+  ::unsetenv("LAZYDRAM_FLIGHT_DUMP");
+  EXPECT_FALSE(std::ifstream(dump_path).good()) << "flight dump written at " << dump_path;
 }
 
 // The one run loop, pinned: the paper's seven-scheme matrix on SCP, CONS and
